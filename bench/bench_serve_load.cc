@@ -1,27 +1,21 @@
-// bench_serve_load — load generator for the online serving engine
-// (src/serve/engine.h), with two measurement modes:
+// bench_serve_load — open-loop load generator for the online serving
+// engine (src/serve/engine.h).
 //
-//  * CLOSED LOOP (default): N client threads issue back-to-back requests
-//    and the harness reports QPS and p50/p95/p99 latency (telemetry
-//    histogram serve.request_seconds) per client-thread count. Simple
-//    and good for throughput ceilings, but its latency numbers suffer
-//    coordinated omission: a stalled server pauses the clients, so the
-//    stall is sampled once instead of once per request that would have
-//    arrived. CI runs this mode via ci/check_serve.sh.
+// Requests arrive on a schedule that does not care how fast the engine
+// answers (--arrival=poisson|burst|diurnal, poisson by default). A trace
+// of (scheduled arrival, request) records is generated (or replayed from
+// a file), dispatched by a fixed worker pool, and every latency is
+// measured from the SCHEDULED arrival — queueing delay counts, so a
+// stalled server cannot hide its stall the way a closed loop's paused
+// clients would (coordinated omission). See serve/trace.h and
+// serve/replay.h. These are the numbers published to
+// bench/trajectory/BENCH_serve.json and gated by ci/check_bench.sh. Each
+// point also reports engine-side stage attribution (mean queue/recal/
+// compute/rank/reply from the serve.stage.* histograms) and the distinct
+// trace-id count, which must equal requests when per-request tracing is
+// sound.
 //
-//  * OPEN LOOP (--arrival=poisson|burst|diurnal): requests arrive on a
-//    schedule that does not care how fast the engine answers. A trace of
-//    (scheduled arrival, request) records is generated (or replayed from
-//    a file), dispatched by a fixed worker pool, and every latency is
-//    measured from the SCHEDULED arrival — queueing delay counts. See
-//    serve/trace.h and serve/replay.h. This is the mode whose numbers
-//    are published to bench/trajectory/BENCH_serve.json and gated by
-//    ci/check_bench.sh. Each point also reports engine-side stage
-//    attribution (mean queue/recal/compute/rank/reply from the
-//    serve.stage.* histograms) and the distinct trace-id count, which
-//    must equal requests when per-request tracing is sound.
-//
-// Setup (both modes): a synthetic dataset + model is built in-process,
+// Setup: a synthetic dataset + model is built in-process,
 // exported through the real snapshot writer, and loaded back through the
 // real reader — so the measured path is exactly what dgnn_serve runs.
 // The mix is mostly TopK with some Score / SimilarUsers, plus a slice of
@@ -45,30 +39,23 @@
 //     --recall-floor=X                 exit nonzero if recall@k < X
 //     --max-rss-mb=N                   fail fast if the loaded snapshot's
 //                                      resident footprint exceeds N MB
-//   closed loop:
-//     --requests=200                   requests per client per run
-//     --clients=1,2,4,8                client-thread sweep
-//   open loop:
-//     --arrival=poisson|burst|diurnal  arrival process (enables the mode)
-//     --qps=500,1000                   target-rate sweep
-//     --requests=200                   requests per sweep point
-//     --workers=4                      dispatch threads
-//     --trace-seed=1                   schedule seed
-//     --record-trace=F                 write the trace (single-rate only)
-//     --replay-trace=F                 replay a recorded trace instead
-//   --bench-json=F                     machine-readable results (both
-//                                      modes; schema_version 2, validated
-//                                      by `dgnn_inspect bench`)
+//   --arrival=poisson|burst|diurnal    arrival process (default poisson)
+//   --qps=500,1000                     target-rate sweep (default 500)
+//   --requests=200                     requests per sweep point
+//   --workers=4                        dispatch threads
+//   --trace-seed=1                     schedule seed
+//   --record-trace=F                   write the trace (single-rate only)
+//   --replay-trace=F                   replay a recorded trace instead
+//   --bench-json=F                     machine-readable results
+//                                      (schema_version 2, validated by
+//                                      `dgnn_inspect bench`)
 //   --metrics-out / --trace-out / --run-log   (see bench_common.h)
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fcntl.h>
 #include <string>
 #include <sys/stat.h>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -83,7 +70,6 @@
 #include "train/recommender.h"
 #include "util/fs.h"
 #include "util/json.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 namespace {
@@ -131,99 +117,6 @@ std::string TempSnapshotPath() {
   TempSnapshotSlot() = tmpl;
   std::atexit(RemoveTempSnapshot);
   return tmpl;
-}
-
-struct SweepResult {
-  int clients = 0;
-  int64_t requests = 0;
-  double seconds = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double cache_hit_rate = 0.0;
-  int64_t batches = 0;
-};
-
-SweepResult RunSweepPoint(serve::ServingEngine& engine, int clients,
-                          int requests_per_client, int32_t num_users,
-                          int k, double hot_fraction) {
-  telemetry::Reset();
-  telemetry::Histogram* latency =
-      telemetry::GetHistogram("serve.request_seconds");
-  const serve::EngineStats before = engine.stats();
-
-  // Closed loop: every client issues its next request as soon as the
-  // previous one returns. The request mix is deterministic per (client,
-  // iteration) so sweep points are comparable.
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(clients));
-  const auto start = std::chrono::steady_clock::now();
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      util::Rng rng(0x5eedbeef + static_cast<uint64_t>(c));
-      const int32_t hot_users = std::max<int32_t>(1, num_users / 8);
-      for (int i = 0; i < requests_per_client; ++i) {
-        serve::Request req;
-        const int mix = i % 10;
-        // 7/10 TopK, 1/10 Score, 1/10 SimilarUsers, 1/10 unknown user
-        // (degraded popularity path).
-        if (mix < 7) {
-          req.type = serve::Request::Type::kTopK;
-          req.k = k;
-        } else if (mix == 7) {
-          req.type = serve::Request::Type::kScore;
-        } else if (mix == 8) {
-          req.type = serve::Request::Type::kSimilarUsers;
-          req.k = 5;
-        } else {
-          req.type = serve::Request::Type::kTopK;
-          req.k = k;
-          req.user = num_users + static_cast<int32_t>(rng.UniformInt(100));
-        }
-        if (mix != 9) {
-          const bool hot =
-              rng.UniformInt(1000) < static_cast<int64_t>(hot_fraction * 1000);
-          req.user = hot ? static_cast<int32_t>(rng.UniformInt(hot_users))
-                         : static_cast<int32_t>(rng.UniformInt(num_users));
-        }
-        if (req.type == serve::Request::Type::kScore) {
-          req.item = static_cast<int32_t>(
-              rng.UniformInt(engine.snapshot()->meta.num_items));
-        }
-        const serve::Response resp = engine.Handle(req);
-        if (!resp.ok) {
-          std::fprintf(stderr, "request failed: %s\n", resp.error.c_str());
-          std::abort();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const serve::EngineStats after = engine.stats();
-  SweepResult r;
-  r.clients = clients;
-  r.requests = after.requests - before.requests;
-  r.seconds = seconds;
-  r.qps = seconds > 0 ? static_cast<double>(r.requests) / seconds : 0.0;
-  const std::vector<double> q =
-      latency->ApproxQuantilesSeconds({0.50, 0.95, 0.99});
-  r.p50_ms = q[0] * 1e3;
-  r.p95_ms = q[1] * 1e3;
-  r.p99_ms = q[2] * 1e3;
-  const int64_t lookups = (after.cache_hits - before.cache_hits) +
-                          (after.cache_misses - before.cache_misses);
-  r.cache_hit_rate =
-      lookups > 0
-          ? static_cast<double>(after.cache_hits - before.cache_hits) /
-                static_cast<double>(lookups)
-          : 0.0;
-  r.batches = after.batches - before.batches;
-  return r;
 }
 
 // Per-stage mean latencies for one open-loop point, read from the
@@ -289,20 +182,6 @@ std::string OpenPointJson(double target_qps, const serve::ReplayResult& r,
   return o.Build();
 }
 
-std::string ClosedPointJson(const SweepResult& r) {
-  util::JsonObject o;
-  o.Set("clients", r.clients)
-      .Set("requests", r.requests)
-      .Set("seconds", r.seconds)
-      .Set("qps", r.qps)
-      .Set("p50_ms", r.p50_ms)
-      .Set("p95_ms", r.p95_ms)
-      .Set("p99_ms", r.p99_ms)
-      .Set("cache_hit_rate", r.cache_hit_rate)
-      .Set("batches", r.batches);
-  return o.Build();
-}
-
 // Snapshot storage / retrieval configuration stamped into the JSON
 // header so committed trajectory points are self-describing (an IVF
 // point and its brute-force baseline differ only here).
@@ -314,7 +193,7 @@ struct StorageInfo {
   std::string mix = "default";
 };
 
-int WriteBenchJson(const std::string& path, const std::string& mode,
+int WriteBenchJson(const std::string& path,
                    const std::string& preset, int dim, int k,
                    const std::string& arrival, int workers,
                    const StorageInfo& storage,
@@ -328,19 +207,18 @@ int WriteBenchJson(const std::string& path, const std::string& mode,
   util::JsonObject o;
   o.Set("schema_version", 2)
       .Set("bench", "bench_serve_load")
-      .Set("mode", mode)
+      .Set("mode", "open")
       .Set("preset", preset)
       .Set("dim", dim)
       .Set("k", k)
       .Set("quant", storage.quant)
       .Set("index", storage.index)
       .Set("nprobe", storage.nprobe)
-      .Set("rerank", storage.rerank);
-  if (mode == "open") {
-    o.Set("arrival", arrival).Set("workers", workers)
-        .Set("mix", storage.mix);
-  }
-  o.SetRaw("points", arr);
+      .Set("rerank", storage.rerank)
+      .Set("arrival", arrival)
+      .Set("workers", workers)
+      .Set("mix", storage.mix)
+      .SetRaw("points", arr);
   util::Status s = fs::AtomicWriteFile(path, o.Build() + "\n");
   if (!s.ok()) {
     std::fprintf(stderr, "bench-json: %s\n", s.ToString().c_str());
@@ -355,8 +233,9 @@ int WriteBenchJson(const std::string& path, const std::string& mode,
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   bench::SetupTelemetryFromFlags(flags);
-  // The latency histogram drives the closed-loop report, so telemetry is
-  // always on here (unlike the training benches, where it is opt-in).
+  // The serve.stage.* histograms drive the stage attribution, so
+  // telemetry is always on here (unlike the training benches, where it
+  // is opt-in).
   telemetry::SetEnabled(true);
   if (flags.Has("threads")) {
     util::SetNumThreads(
@@ -543,182 +422,130 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---------------------------------------------------------------------
-  // Open loop: --arrival or --replay-trace selects it.
-  // ---------------------------------------------------------------------
-  if (flags.Has("arrival") || flags.Has("replay-trace")) {
-    serve::ReplayConfig replay_config;
-    replay_config.workers = static_cast<int>(flags.GetInt("workers", 4));
-    const std::string replay_path = flags.GetString("replay-trace", "");
-    const std::string record_path = flags.GetString("record-trace", "");
+  serve::ReplayConfig replay_config;
+  replay_config.workers = static_cast<int>(flags.GetInt("workers", 4));
+  const std::string replay_path = flags.GetString("replay-trace", "");
+  const std::string record_path = flags.GetString("record-trace", "");
 
-    serve::ScheduleConfig schedule;
-    auto arrival =
-        serve::ParseArrivalProcess(flags.GetString("arrival", "poisson"));
-    if (!arrival.ok()) {
-      std::fprintf(stderr, "%s\n", arrival.status().ToString().c_str());
-      return 2;
-    }
-    schedule.arrival = arrival.value();
-    schedule.num_requests = flags.GetInt("requests", 200);
-    schedule.seed = static_cast<uint64_t>(flags.GetInt("trace-seed", 1));
-    const std::string mix = flags.GetString("mix", "default");
-    if (mix == "topk") {
-      schedule.topk_only = true;
-    } else if (mix != "default") {
-      std::fprintf(stderr, "--mix must be default or topk\n");
-      return 2;
-    }
-    storage.mix = mix;
-
-    std::vector<double> qps_sweep;
-    for (const std::string& tok :
-         util::Split(flags.GetString("qps", "500"), ',')) {
-      auto parsed = util::ParseInt(util::Trim(tok));
-      if (!parsed.ok() || parsed.value() < 1) {
-        std::fprintf(stderr, "bad --qps entry '%s'\n", tok.c_str());
-        return 2;
-      }
-      qps_sweep.push_back(static_cast<double>(parsed.value()));
-    }
-    if (!record_path.empty() && qps_sweep.size() != 1) {
-      std::fprintf(stderr,
-                   "--record-trace requires a single --qps value\n");
-      return 2;
-    }
-
-    std::printf(
-        "serving load test (open loop): %s (%d users, %d items, dim "
-        "%lld), k=%d, arrival=%s, %lld requests/point, workers=%d, "
-        "max_queue=%d, deadline_ms=%lld\n\n",
-        dataset.name.c_str(), dataset.num_users, dataset.num_items,
-        (long long)zoo.embedding_dim, k,
-        serve::ArrivalProcessName(schedule.arrival),
-        (long long)schedule.num_requests, replay_config.workers,
-        engine_config.max_queue,
-        (long long)engine_config.default_deadline_ms);
-
-    util::Table table({"target_qps", "requests", "achieved_qps", "p50_ms",
-                       "p95_ms", "p99_ms", "shed", "expired", "late",
-                       "rss_mb", "snap_mb", "recall"});
-    std::vector<std::string> points;
-    std::vector<std::string> stage_lines;
-    for (double target : qps_sweep) {
-      serve::Trace trace;
-      if (!replay_path.empty()) {
-        auto read = serve::ReadTrace(replay_path);
-        if (!read.ok()) {
-          std::fprintf(stderr, "replay-trace: %s\n",
-                       read.status().ToString().c_str());
-          return 2;
-        }
-        trace = std::move(read).value();
-        // The trace fixes the schedule; report its own offered rate.
-        target = 0.0;
-      } else {
-        schedule.target_qps = target;
-        trace = serve::GenerateTrace(schedule, dataset.num_users,
-                                     dataset.num_items, k, hot_fraction);
-        if (!record_path.empty()) {
-          util::Status rec = serve::WriteTrace(trace, record_path);
-          if (!rec.ok()) {
-            std::fprintf(stderr, "record-trace: %s\n",
-                         rec.ToString().c_str());
-            return 2;
-          }
-          std::fprintf(stderr, "[bench] trace recorded to %s\n",
-                       record_path.c_str());
-        }
-      }
-      // Fresh telemetry per point so the stage histograms attribute to
-      // this point alone (the closed loop has always done this).
-      telemetry::Reset();
-      serve::ReplayResult r =
-          serve::ReplayTrace(engine, trace.records, replay_config);
-      const StageMeans stages = ReadStageMeans();
-      if (target == 0.0) target = r.offered_qps;
-      table.AddRow({util::StrFormat("%.0f", target),
-                    std::to_string(r.requests),
-                    util::StrFormat("%.0f", r.achieved_qps),
-                    bench::Fmt4(r.p50_ms), bench::Fmt4(r.p95_ms),
-                    bench::Fmt4(r.p99_ms), std::to_string(r.shed),
-                    std::to_string(r.expired),
-                    std::to_string(r.late_dispatches),
-                    util::StrFormat("%.1f", r.peak_rss_bytes / 1e6),
-                    util::StrFormat("%.1f", snapshot_bytes / 1e6),
-                    recall_at_k >= 0.0
-                        ? util::StrFormat("%.4f", recall_at_k)
-                        : std::string("-")});
-      stage_lines.push_back(util::StrFormat(
-          "  qps %-6.0f stage means (ms): queue=%.4f recal=%.4f "
-          "compute=%.4f rank=%.4f reply=%.4f | e2e=%.4f "
-          "(distinct trace ids: %lld/%lld)",
-          target, stages.queue_ms, stages.recal_ms, stages.compute_ms,
-          stages.rank_ms, stages.reply_ms, stages.e2e_ms,
-          (long long)r.distinct_trace_ids, (long long)r.requests));
-      points.push_back(
-          OpenPointJson(target, r, stages, snapshot_bytes, recall_at_k));
-      if (!replay_path.empty()) break;  // a file trace is one point
-    }
-    table.Print();
-    std::printf("\nstage attribution (engine-side; queue starts at "
-                "admission, so worker dispatch lateness is excluded):\n");
-    for (const std::string& line : stage_lines) {
-      std::printf("%s\n", line.c_str());
-    }
-    if (!bench_json.empty()) {
-      return WriteBenchJson(bench_json, "open", dataset.name,
-                            (int)zoo.embedding_dim, k,
-                            serve::ArrivalProcessName(schedule.arrival),
-                            replay_config.workers, storage, points);
-    }
-    return 0;
+  serve::ScheduleConfig schedule;
+  auto arrival =
+      serve::ParseArrivalProcess(flags.GetString("arrival", "poisson"));
+  if (!arrival.ok()) {
+    std::fprintf(stderr, "%s\n", arrival.status().ToString().c_str());
+    return 2;
   }
+  schedule.arrival = arrival.value();
+  schedule.num_requests = flags.GetInt("requests", 200);
+  schedule.seed = static_cast<uint64_t>(flags.GetInt("trace-seed", 1));
+  const std::string mix = flags.GetString("mix", "default");
+  if (mix == "topk") {
+    schedule.topk_only = true;
+  } else if (mix != "default") {
+    std::fprintf(stderr, "--mix must be default or topk\n");
+    return 2;
+  }
+  storage.mix = mix;
 
-  // ---------------------------------------------------------------------
-  // Closed loop (default; ci/check_serve.sh depends on this output).
-  // ---------------------------------------------------------------------
-  const int requests_per_client =
-      static_cast<int>(flags.GetInt("requests", 200));
-  std::vector<int> client_sweep;
+  std::vector<double> qps_sweep;
   for (const std::string& tok :
-       util::Split(flags.GetString("clients", "1,2,4,8"), ',')) {
+       util::Split(flags.GetString("qps", "500"), ',')) {
     auto parsed = util::ParseInt(util::Trim(tok));
     if (!parsed.ok() || parsed.value() < 1) {
-      std::fprintf(stderr, "bad --clients entry '%s'\n", tok.c_str());
+      std::fprintf(stderr, "bad --qps entry '%s'\n", tok.c_str());
       return 2;
     }
-    client_sweep.push_back(static_cast<int>(parsed.value()));
+    qps_sweep.push_back(static_cast<double>(parsed.value()));
+  }
+  if (!record_path.empty() && qps_sweep.size() != 1) {
+    std::fprintf(stderr,
+                 "--record-trace requires a single --qps value\n");
+    return 2;
   }
 
-  std::printf("serving load test: %s (%d users, %d items, dim %lld), "
-              "k=%d, %d requests/client, pool threads=%d, cache=%d\n\n",
-              dataset.name.c_str(), dataset.num_users, dataset.num_items,
-              (long long)zoo.embedding_dim, k, requests_per_client,
-              util::NumThreads(), engine_config.cache_capacity);
+  std::printf(
+      "serving load test (open loop): %s (%d users, %d items, dim "
+      "%lld), k=%d, arrival=%s, %lld requests/point, workers=%d, "
+      "max_queue=%d, deadline_ms=%lld\n\n",
+      dataset.name.c_str(), dataset.num_users, dataset.num_items,
+      (long long)zoo.embedding_dim, k,
+      serve::ArrivalProcessName(schedule.arrival),
+      (long long)schedule.num_requests, replay_config.workers,
+      engine_config.max_queue,
+      (long long)engine_config.default_deadline_ms);
 
-  util::Table table({"clients", "requests", "seconds", "qps", "p50_ms",
-                     "p95_ms", "p99_ms", "cache_hit", "batches"});
+  util::Table table({"target_qps", "requests", "achieved_qps", "p50_ms",
+                     "p95_ms", "p99_ms", "shed", "expired", "late",
+                     "rss_mb", "snap_mb", "recall"});
   std::vector<std::string> points;
-  for (int clients : client_sweep) {
-    // Warm-up pass so first-touch costs (page faults, cache fill) don't
-    // skew the smallest sweep point.
-    RunSweepPoint(engine, clients, std::min(requests_per_client, 32),
-                  dataset.num_users, k, hot_fraction);
-    SweepResult r = RunSweepPoint(engine, clients, requests_per_client,
-                                  dataset.num_users, k, hot_fraction);
-    table.AddRow({std::to_string(r.clients), std::to_string(r.requests),
-                  bench::Fmt4(r.seconds), util::StrFormat("%.0f", r.qps),
+  std::vector<std::string> stage_lines;
+  for (double target : qps_sweep) {
+    serve::Trace trace;
+    if (!replay_path.empty()) {
+      auto read = serve::ReadTrace(replay_path);
+      if (!read.ok()) {
+        std::fprintf(stderr, "replay-trace: %s\n",
+                     read.status().ToString().c_str());
+        return 2;
+      }
+      trace = std::move(read).value();
+      // The trace fixes the schedule; report its own offered rate.
+      target = 0.0;
+    } else {
+      schedule.target_qps = target;
+      trace = serve::GenerateTrace(schedule, dataset.num_users,
+                                   dataset.num_items, k, hot_fraction);
+      if (!record_path.empty()) {
+        util::Status rec = serve::WriteTrace(trace, record_path);
+        if (!rec.ok()) {
+          std::fprintf(stderr, "record-trace: %s\n",
+                       rec.ToString().c_str());
+          return 2;
+        }
+        std::fprintf(stderr, "[bench] trace recorded to %s\n",
+                     record_path.c_str());
+      }
+    }
+    // Fresh telemetry per point so the stage histograms attribute to
+    // this point alone.
+    telemetry::Reset();
+    serve::ReplayResult r =
+        serve::ReplayTrace(engine, trace.records, replay_config);
+    const StageMeans stages = ReadStageMeans();
+    if (target == 0.0) target = r.offered_qps;
+    table.AddRow({util::StrFormat("%.0f", target),
+                  std::to_string(r.requests),
+                  util::StrFormat("%.0f", r.achieved_qps),
                   bench::Fmt4(r.p50_ms), bench::Fmt4(r.p95_ms),
-                  bench::Fmt4(r.p99_ms), bench::Fmt4(r.cache_hit_rate),
-                  std::to_string(r.batches)});
-    points.push_back(ClosedPointJson(r));
+                  bench::Fmt4(r.p99_ms), std::to_string(r.shed),
+                  std::to_string(r.expired),
+                  std::to_string(r.late_dispatches),
+                  util::StrFormat("%.1f", r.peak_rss_bytes / 1e6),
+                  util::StrFormat("%.1f", snapshot_bytes / 1e6),
+                  recall_at_k >= 0.0
+                      ? util::StrFormat("%.4f", recall_at_k)
+                      : std::string("-")});
+    stage_lines.push_back(util::StrFormat(
+        "  qps %-6.0f stage means (ms): queue=%.4f recal=%.4f "
+        "compute=%.4f rank=%.4f reply=%.4f | e2e=%.4f "
+        "(distinct trace ids: %lld/%lld)",
+        target, stages.queue_ms, stages.recal_ms, stages.compute_ms,
+        stages.rank_ms, stages.reply_ms, stages.e2e_ms,
+        (long long)r.distinct_trace_ids, (long long)r.requests));
+    points.push_back(
+        OpenPointJson(target, r, stages, snapshot_bytes, recall_at_k));
+    if (!replay_path.empty()) break;  // a file trace is one point
   }
   table.Print();
+  std::printf("\nstage attribution (engine-side; queue starts at "
+              "admission, so worker dispatch lateness is excluded):\n");
+  for (const std::string& line : stage_lines) {
+    std::printf("%s\n", line.c_str());
+  }
   if (!bench_json.empty()) {
-    return WriteBenchJson(bench_json, "closed", dataset.name,
-                          (int)zoo.embedding_dim, k, "", 0, storage,
-                          points);
+    return WriteBenchJson(bench_json, dataset.name,
+                          (int)zoo.embedding_dim, k,
+                          serve::ArrivalProcessName(schedule.arrival),
+                          replay_config.workers, storage, points);
   }
   return 0;
 }

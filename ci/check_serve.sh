@@ -17,8 +17,8 @@
 #      dropped) and snapshot_version bumps across the swap.
 #   5. {"op":"reload"} re-reads --snapshot from disk and also bumps the
 #      version.
-#   6. bench_serve_load runs at a small scale and must report qps and
-#      p50/p95/p99 columns.
+#   6. bench_serve_load runs one small open-loop point and must report
+#      qps and p50/p95/p99 columns.
 #   7. Overload control, on a FRESH server instance so the exact-count
 #      stats assertions above stay untouched: with --max-queue small and
 #      a DGNN_FAILPOINTS="serve.execute=delay:..." slowdown, a burst of
@@ -221,7 +221,7 @@ print("check_serve: overload shedding + SIGTERM drain OK")
 EOF
 
 # ---- load bench smoke: must report qps and tail latencies -----------------
-BENCH_OUT="$("$BENCH" --preset=tiny --requests=64 --clients=1,4)"
+BENCH_OUT="$("$BENCH" --preset=tiny --arrival=poisson --qps=200 --requests=64)"
 echo "$BENCH_OUT" | grep -q "qps" || {
   echo "check_serve: bench output missing qps column" >&2; exit 1; }
 echo "$BENCH_OUT" | grep -q "p99_ms" || {

@@ -27,7 +27,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
            serve_engine_test serve_snapshot_test failpoint_test \
            resume_test serve_trace_test kernel_parity_test \
            observability_test quant_test ivf_test shard_test \
-           shard_router_test
+           shard_router_test protocol_test
 
 # halt_on_error: fail fast on the first race instead of drowning in reports.
 # telemetry_test has the concurrent-increment test (8 threads hammering one
@@ -54,9 +54,11 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 # with a multi-threaded router (scatter threads, detached hedges, probe
 # loop, concurrent shedding clients) against SocketServer's
 # per-connection threads — the widest cross-thread surface in the repo;
-# shard_test covers the shard ring and slice partitioning used by it.
+# shard_test covers the shard ring and slice partitioning used by it;
+# protocol_test drives a burst of concurrent backend calls through the
+# shared NDJSON protocol module.
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'thread_pool_test|parallel_equivalence_test|serving_test|telemetry_test|failure_test|run_log_test|diagnostics_test|serve_engine_test|serve_snapshot_test|failpoint_test|resume_test|serve_trace_test|kernel_parity_test|observability_test|quant_test|ivf_test|shard_test|shard_router_test'
+    -R 'thread_pool_test|parallel_equivalence_test|serving_test|telemetry_test|failure_test|run_log_test|diagnostics_test|serve_engine_test|serve_snapshot_test|failpoint_test|resume_test|serve_trace_test|kernel_parity_test|observability_test|quant_test|ivf_test|shard_test|shard_router_test|protocol_test'
 
 echo "TSan job passed: no data races detected."

@@ -20,7 +20,7 @@
 //       Tolerances default to 0 (bit-exact runs diff clean).
 //   dgnn_inspect bench BENCH_serve.json
 //       Validate a bench_serve_load --bench-json result file (schema
-//       version 1): required fields per mode, quantile ordering,
+//       version 1 or 2, open loop): required fields, quantile ordering,
 //       outcome-count consistency. ci/check_bench.sh gates on this.
 //   dgnn_inspect stats STATS.jsonl [--prom]
 //       Validate a dgnn_serve --stats-out JSONL file (every line must be
@@ -480,9 +480,9 @@ int Diff(const std::string& base_path, const std::string& cand_path,
 
 // ---------------------------------------------------------------------
 // bench: validate a BENCH_serve.json emitted by bench_serve_load
-// --bench-json (schema_version 1). Parsed with the real JSON parser —
-// no substring checks — and verified structurally: required fields per
-// mode, quantile ordering p50 <= p95 <= p99, and outcome-count
+// --bench-json (schema_version 1 or 2). Parsed with the real JSON
+// parser — no substring checks — and verified structurally: required
+// fields, quantile ordering p50 <= p95 <= p99, and outcome-count
 // consistency (ok + shed + expired + failed == requests, degraded a
 // subset of ok). ci/check_bench.sh gates on exit code 0 vs 2.
 // ---------------------------------------------------------------------
@@ -508,7 +508,7 @@ bool BenchNumber(const std::string& path, const JsonValue& point,
 }
 
 bool ValidateBenchPoint(const std::string& path, const JsonValue& point,
-                        const std::string& mode, int schema_version) {
+                        int schema_version) {
   if (!point.is_object()) return BenchFail(path, "point is not an object");
   double p50 = 0, p95 = 0, p99 = 0, requests = 0;
   for (const char* key : {"requests", "seconds", "p50_ms", "p95_ms",
@@ -526,48 +526,41 @@ bool ValidateBenchPoint(const std::string& path, const JsonValue& point,
                                "p99 %.4f",
                                p50, p95, p99));
   }
-  if (mode == "open") {
-    double ok = 0, shed = 0, expired = 0, failed = 0, degraded = 0;
-    for (auto [key, out] : {std::pair<const char*, double*>{"ok", &ok},
-                            {"shed", &shed},
-                            {"expired", &expired},
-                            {"failed", &failed},
-                            {"degraded", &degraded}}) {
-      if (!BenchNumber(path, point, key, out)) return false;
+  double ok = 0, shed = 0, expired = 0, failed = 0, degraded = 0;
+  for (auto [key, out] : {std::pair<const char*, double*>{"ok", &ok},
+                          {"shed", &shed},
+                          {"expired", &expired},
+                          {"failed", &failed},
+                          {"degraded", &degraded}}) {
+    if (!BenchNumber(path, point, key, out)) return false;
+  }
+  double target = 0, rss = 0, late = 0;
+  if (!BenchNumber(path, point, "target_qps", &target)) return false;
+  if (!BenchNumber(path, point, "peak_rss_bytes", &rss)) return false;
+  if (!BenchNumber(path, point, "late_dispatches", &late)) return false;
+  if (ok + shed + expired + failed != requests) {
+    return BenchFail(
+        path, StrFormat("outcome counts do not sum to requests: "
+                        "%g + %g + %g + %g != %g",
+                        ok, shed, expired, failed, requests));
+  }
+  if (degraded > ok) {
+    return BenchFail(path, "degraded exceeds ok");
+  }
+  if (schema_version >= 2) {
+    // v2 open points carry the snapshot footprint; recall_at_k is
+    // present when the run measured it and must then be a fraction.
+    double snapshot_bytes = 0;
+    if (!BenchNumber(path, point, "snapshot_bytes", &snapshot_bytes)) {
+      return false;
     }
-    double target = 0, rss = 0, late = 0;
-    if (!BenchNumber(path, point, "target_qps", &target)) return false;
-    if (!BenchNumber(path, point, "peak_rss_bytes", &rss)) return false;
-    if (!BenchNumber(path, point, "late_dispatches", &late)) return false;
-    if (ok + shed + expired + failed != requests) {
-      return BenchFail(
-          path, StrFormat("outcome counts do not sum to requests: "
-                          "%g + %g + %g + %g != %g",
-                          ok, shed, expired, failed, requests));
-    }
-    if (degraded > ok) {
-      return BenchFail(path, "degraded exceeds ok");
-    }
-    if (schema_version >= 2) {
-      // v2 open points carry the snapshot footprint; recall_at_k is
-      // present when the run measured it and must then be a fraction.
-      double snapshot_bytes = 0;
-      if (!BenchNumber(path, point, "snapshot_bytes", &snapshot_bytes)) {
-        return false;
-      }
-      const JsonValue* recall = point.Find("recall_at_k");
-      if (recall != nullptr) {
-        if (!recall->is_number() || !(recall->number >= 0.0) ||
-            recall->number > 1.0) {
-          return BenchFail(path, "recall_at_k must be in [0, 1]");
-        }
+    const JsonValue* recall = point.Find("recall_at_k");
+    if (recall != nullptr) {
+      if (!recall->is_number() || !(recall->number >= 0.0) ||
+          recall->number > 1.0) {
+        return BenchFail(path, "recall_at_k must be in [0, 1]");
       }
     }
-  } else {
-    double clients = 0, qps = 0;
-    if (!BenchNumber(path, point, "clients", &clients)) return false;
-    if (!BenchNumber(path, point, "qps", &qps)) return false;
-    if (clients < 1) return BenchFail(path, "clients < 1");
   }
   return true;
 }
@@ -606,28 +599,25 @@ int BenchValidate(const std::string& path) {
                "\"bench\" must be \"bench_serve_load\" or \"dgnn_router\""),
            2;
   }
-  const std::string mode = root.StringOr("mode", "");
-  if (mode != "open" && mode != "closed") {
-    return BenchFail(path, "\"mode\" must be \"open\" or \"closed\""), 2;
+  if (root.StringOr("mode", "") != "open") {
+    return BenchFail(path, "\"mode\" must be \"open\""), 2;
   }
-  if (mode == "open") {
-    const JsonValue* arrival = root.Find("arrival");
-    if (arrival == nullptr || !arrival->is_string() ||
-        (arrival->string_value != "poisson" &&
-         arrival->string_value != "burst" &&
-         arrival->string_value != "diurnal")) {
-      return BenchFail(path, "open mode requires a valid \"arrival\""), 2;
-    }
+  const JsonValue* arrival = root.Find("arrival");
+  if (arrival == nullptr || !arrival->is_string() ||
+      (arrival->string_value != "poisson" &&
+       arrival->string_value != "burst" &&
+       arrival->string_value != "diurnal")) {
+    return BenchFail(path, "open mode requires a valid \"arrival\""), 2;
   }
   const JsonValue* points = root.Find("points");
   if (points == nullptr || !points->is_array() || points->array.empty()) {
     return BenchFail(path, "\"points\" must be a non-empty array"), 2;
   }
   for (const JsonValue& point : points->array) {
-    if (!ValidateBenchPoint(path, point, mode, schema_version)) return 2;
+    if (!ValidateBenchPoint(path, point, schema_version)) return 2;
   }
-  std::printf("%s: valid %s-loop bench result (%zu point(s), preset %s)\n",
-              path.c_str(), mode.c_str(), points->array.size(),
+  std::printf("%s: valid open-loop bench result (%zu point(s), preset %s)\n",
+              path.c_str(), points->array.size(),
               root.StringOr("preset", "?").c_str());
   return 0;
 }

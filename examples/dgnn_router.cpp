@@ -14,13 +14,9 @@
 //   dgnn_serve --snapshot=snap.shard2of3 --listen=/tmp/s2.sock &
 //   dgnn_router --shards=/tmp/s0.sock,/tmp/s1.sock,/tmp/s2.sock
 //
-// Requests (stdin, one JSON per line — same shapes as dgnn_serve):
-//   {"op":"topk","user":3,"k":10}
-//   {"op":"score","user":3,"item":7}
-//   {"op":"similar_users","user":3,"k":5}
-//   {"op":"swap","snapshot":"other.snap"}   two-phase fleet-wide swap
-//   {"op":"stats"}                          router + per-shard health
-//   {"op":"quit"}
+// Requests on stdin follow the client protocol of serve/protocol.h, the
+// one dgnn_serve speaks; here "swap" is the two-phase fleet-wide swap and
+// "stats" reports router counters plus per-shard health.
 //
 // Responses add "missing_shards":[i,...] when a partial answer had to
 // drop (or substitute for) a shard's slice; such responses also carry
@@ -36,10 +32,9 @@
 // Health probing: --probe-interval-ms / --probe-timeout-ms drive the
 // per-shard healthy/degraded/down state machine shown by "stats".
 //
-// SIGTERM/SIGINT drain: installed without SA_RESTART so the blocking
-// stdin read is interrupted; the router waits for every in-flight
-// scatter/gather (hedged stragglers included) before emitting serve_end
-// to --run-log and exiting 0.
+// SIGTERM/SIGINT drain: the blocking stdin read is interrupted; the
+// router waits for every in-flight scatter/gather (hedged stragglers
+// included) before emitting serve_end to --run-log and exiting 0.
 //
 // --replay-trace=F [--workers=N] [--bench-json=OUT] replays a recorded
 // request trace (serve/trace.h) open-loop through the router instead of
@@ -49,19 +44,14 @@
 // summary line; --bench-json additionally writes a schema_version-2
 // bench file (bench:"dgnn_router") that `dgnn_inspect bench` validates.
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "serve/replay.h"
-#include "serve/trace.h"
+#include "serve/protocol.h"
 #include "shard/router.h"
-#include "shard/wire.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/run_log.h"
@@ -71,88 +61,21 @@ namespace {
 
 using namespace dgnn;
 
-volatile std::sig_atomic_t g_shutdown_requested = 0;
-void OnShutdown(int) { g_shutdown_requested = 1; }
+// The fleet behind the client protocol; swaps are coordinated and
+// logged to the run log.
+class RouterBackend : public serve::Backend {
+ public:
+  explicit RouterBackend(shard::Router& router) : router_(router) {}
 
-void PrintLine(const std::string& json) {
-  std::fputs(json.c_str(), stdout);
-  std::fputc('\n', stdout);
-  std::fflush(stdout);
-}
-
-void RespondError(const std::string& message) {
-  util::JsonObject o;
-  o.Set("ok", false).Set("error", message);
-  PrintLine(o.Build());
-}
-
-std::string MissingJson(const std::vector<int32_t>& missing) {
-  std::string out = "[";
-  for (size_t i = 0; i < missing.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(missing[i]);
+  serve::Response Handle(const serve::Request& request) override {
+    return router_.Handle(request);
   }
-  out += "]";
-  return out;
-}
-
-// dgnn_serve-shaped response line for a router op. Keeps the field
-// order of dgnn_serve's Dispatch so single-process and routed replies
-// diff cleanly; missing_shards appears only on partial answers.
-void PrintResponse(const std::string& op, int32_t user, int32_t item,
-                   int k, const serve::Response& resp) {
-  if (!resp.ok) {
-    util::JsonObject o;
-    o.Set("ok", false).Set("error", resp.error).Set("trace_id",
-                                                    resp.trace_id);
-    PrintLine(o.Build());
-    return;
-  }
-  util::JsonObject o;
-  o.Set("ok", true)
-      .Set("op", op)
-      .Set("user", static_cast<int64_t>(user))
-      .Set("trace_id", resp.trace_id)
-      .Set("degraded", resp.degraded)
-      .Set("snapshot_version", resp.snapshot_version);
-  if (op == "score") {
-    o.Set("item", static_cast<int64_t>(item))
-        .Set("score", static_cast<double>(resp.score));
-  } else {
-    o.Set("k", static_cast<int64_t>(k))
-        .SetRaw("items", shard::ItemsJson(resp.items));
-  }
-  if (!resp.missing_shards.empty()) {
-    o.SetRaw("missing_shards", MissingJson(resp.missing_shards));
-  }
-  PrintLine(o.Build());
-}
-
-// Serves one parsed request line; returns false once "quit" was handled.
-bool Dispatch(shard::Router& router, const util::JsonValue& req) {
-  const std::string op = req.StringOr("op", "");
-  if (op == "quit") {
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    PrintLine(o.Build());
-    return false;
-  }
-  if (op == "stats") {
-    PrintLine(router.StatsJson());
-    return true;
-  }
-  if (op == "swap") {
-    const std::string prefix = req.StringOr("snapshot", "");
-    if (prefix.empty()) {
-      RespondError("swap requires a \"snapshot\" path");
-      return true;
-    }
-    auto version = router.CoordinatedSwap(prefix);
+  std::string Stats() override { return router_.StatsJson(); }
+  util::StatusOr<int64_t> Swap(const std::string& prefix) override {
+    auto version = router_.CoordinatedSwap(prefix);
     if (runlog::Active()) {
       util::JsonObject o;
-      o.Set("trigger", "swap")
-          .Set("path", prefix)
-          .Set("ok", version.ok());
+      o.Set("trigger", "swap").Set("path", prefix).Set("ok", version.ok());
       if (version.ok()) {
         o.Set("snapshot_version", version.value());
       } else {
@@ -160,35 +83,12 @@ bool Dispatch(shard::Router& router, const util::JsonValue& req) {
       }
       runlog::Emit("coordinated_swap", o);
     }
-    if (!version.ok()) {
-      RespondError(version.status().ToString());
-      return true;
-    }
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op).Set("snapshot_version",
-                                        version.value());
-    PrintLine(o.Build());
-    return true;
+    return version;
   }
 
-  const auto user = static_cast<int32_t>(req.NumberOr("user", -1));
-  const auto item = static_cast<int32_t>(req.NumberOr("item", -1));
-  const int k = static_cast<int>(req.NumberOr("k", 10));
-  const auto deadline_ms =
-      static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
-  if (op == "topk") {
-    PrintResponse(op, user, item, k, router.TopK(user, k, deadline_ms));
-  } else if (op == "score") {
-    PrintResponse(op, user, item, k,
-                  router.Score(user, item, deadline_ms));
-  } else if (op == "similar_users") {
-    PrintResponse(op, user, item, k,
-                  router.SimilarUsers(user, k, deadline_ms));
-  } else {
-    RespondError("unknown op '" + op + "'");
-  }
-  return true;
-}
+ private:
+  shard::Router& router_;
+};
 
 // --bench-json: one open-mode schema_version-2 point in the exact shape
 // `dgnn_inspect bench` validates (ValidateBenchPoint), so router runs
@@ -333,112 +233,56 @@ int main(int argc, char** argv) {
     runlog::Emit("router_start", o);
   }
 
-  // SIGTERM/SIGINT without SA_RESTART: interrupt the blocking stdin read
-  // so the loop falls through to the drain barrier below.
-  struct sigaction shutdown_action;
-  std::memset(&shutdown_action, 0, sizeof(shutdown_action));
-  shutdown_action.sa_handler = OnShutdown;
-  sigemptyset(&shutdown_action.sa_mask);
-  shutdown_action.sa_flags = 0;
-  sigaction(SIGTERM, &shutdown_action, nullptr);
-  sigaction(SIGINT, &shutdown_action, nullptr);
-
+  RouterBackend backend(router);
   int exit_code = 0;
-  const char* exit_reason = "eof";
+  const char* exit_reason = "replay";
   if (flags.Has("replay-trace")) {
-    auto trace = serve::ReadTrace(flags.GetString("replay-trace", ""));
-    if (!trace.ok()) {
+    const int workers = static_cast<int>(flags.GetInt("workers", 4));
+    // Route each trace record through the fleet. Outcomes classify by
+    // the identical error contract, so "shed" / "expired" / "degraded"
+    // mean the same thing they mean for the single-process replay —
+    // except here "degraded" includes answers that lost a shard's slice
+    // mid-replay.
+    auto replayed = serve::ReplayTraceFile(
+        backend, flags.GetString("replay-trace", ""), workers);
+    if (!replayed.ok()) {
       std::fprintf(stderr, "error: %s\n",
-                   trace.status().ToString().c_str());
+                   replayed.status().ToString().c_str());
       router.Stop();
       return 1;
     }
-    serve::ReplayConfig replay_config;
-    replay_config.workers = static_cast<int>(flags.GetInt("workers", 4));
-    // Route each trace record through the fleet. The handler overload
-    // classifies outcomes by the identical error contract, so "shed" /
-    // "expired" / "degraded" mean the same thing they mean for the
-    // single-process replay — except here "degraded" includes answers
-    // that lost a shard's slice mid-replay.
-    const serve::ReplayResult r = serve::ReplayTrace(
-        [&router](const serve::Request& request) {
-          switch (request.type) {
-            case serve::Request::Type::kScore:
-              return router.Score(request.user, request.item,
-                                  request.timeout_ms);
-            case serve::Request::Type::kSimilarUsers:
-              return router.SimilarUsers(request.user, request.k,
-                                         request.timeout_ms);
-            default:
-              return router.TopK(request.user, request.k,
-                                 request.timeout_ms);
-          }
-        },
-        trace.value().records, replay_config);
+    const serve::ReplayResult& r = replayed.value();
     const shard::RouterCounters c = router.counters();
     // Count shards the probe loop currently sees as down (a shard
     // SIGKILLed mid-replay shows up here — the bench point records how
     // many slices the fleet was missing).
     int down = 0;
-    int64_t resident = 0;
     for (const auto& st : router.ShardStatuses()) {
       if (st.state == shard::HealthState::kDown) ++down;
     }
-    util::JsonObject o;
-    o.Set("ok", true)
-        .Set("op", "replay")
-        .Set("requests", r.requests)
-        .Set("seconds", r.seconds)
-        .Set("offered_qps", r.offered_qps)
-        .Set("achieved_qps", r.achieved_qps)
-        .Set("p50_ms", r.p50_ms)
-        .Set("p95_ms", r.p95_ms)
-        .Set("p99_ms", r.p99_ms)
-        .Set("completed", r.ok)
-        .Set("degraded", r.degraded)
-        .Set("shed", r.shed)
-        .Set("expired", r.expired)
-        .Set("failed", r.failed)
-        .Set("late_dispatches", r.late_dispatches)
-        .Set("distinct_trace_ids", r.distinct_trace_ids)
-        .Set("peak_rss_bytes", r.peak_rss_bytes)
-        .Set("num_shards", static_cast<int64_t>(router.num_shards()))
+    util::JsonObject o = serve::ReplaySummary(r);
+    o.Set("num_shards", static_cast<int64_t>(router.num_shards()))
         .Set("down_shards", static_cast<int64_t>(down))
         .Set("shard_retries", c.retries)
         .Set("shard_hedges", c.hedges)
         .Set("shard_failovers", c.failovers)
         .Set("shard_degraded_responses", c.degraded_responses);
-    PrintLine(o.Build());
+    std::cout << o.Build() << std::endl;
     const std::string bench_json = flags.GetString("bench-json", "");
     if (!bench_json.empty()) {
       // Fleet embedding footprint: dim fp32 floats per user and item row
       // plus norms — the same accounting SnapshotResidentBytes uses for
       // the dense sections, summed across the (disjoint) slices.
-      resident = (router.num_users() + router.num_items()) *
-                 (router.dim() + 1) * static_cast<int64_t>(sizeof(float));
+      const int64_t resident = (router.num_users() + router.num_items()) *
+                               (router.dim() + 1) *
+                               static_cast<int64_t>(sizeof(float));
       exit_code = WriteBenchJson(
           bench_json, flags.GetString("preset", "custom"),
-          flags.GetString("arrival", "poisson"), replay_config.workers,
-          router.dim(), resident, router.num_shards(), down, r, c);
+          flags.GetString("arrival", "poisson"), workers, router.dim(),
+          resident, router.num_shards(), down, r, c);
     }
-    exit_reason = "replay";
   } else {
-    std::string line;
-    bool running = true;
-    while (running && !g_shutdown_requested &&
-           std::getline(std::cin, line)) {
-      if (g_shutdown_requested) break;
-      if (line.empty()) continue;
-      auto parsed = util::ParseJson(line);
-      if (!parsed.ok()) {
-        RespondError("request is not valid JSON: " +
-                     parsed.status().message());
-        continue;
-      }
-      running = Dispatch(router, parsed.value());
-    }
-    exit_reason =
-        g_shutdown_requested ? "signal" : (running ? "eof" : "quit");
+    exit_reason = serve::ServeLines(backend, std::cin, std::cout);
   }
 
   // Drain: wait out every in-flight scatter/gather and straggling hedge

@@ -3,42 +3,29 @@
 // newline-delimited JSON requests on stdin with one JSON response line on
 // stdout each (NDJSON in, NDJSON out).
 //
-// Requests:
-//   {"op":"topk","user":3,"k":10}
-//   {"op":"score","user":3,"item":7}
-//   {"op":"similar_users","user":3,"k":5}
+// The client protocol — topk / score / similar_users / swap / stats /
+// quit, response and error shapes — is serve/protocol.h, shared with
+// dgnn_router and the shard socket. This binary adds:
 //   {"op":"reload"}                        re-read --snapshot from disk
-//   {"op":"swap","snapshot":"other.snap"}  hot-swap to another file
-//   {"op":"stats"}                         counters + rolling windows
 //   {"op":"stats","format":"prom"}         Prometheus text (in "text")
-//   {"op":"burst","n":64,"user":3,"k":10}  fire n concurrent topk calls
-//   {"op":"quit"}                          acknowledge and exit 0
-//
-// Scoring requests accept "deadline_ms" (admission deadline for that
-// request; -1 = explicitly none), overriding --deadline-ms. "burst" runs
-// n copies of a topk request from n threads at once — the way to exercise
-// --max-queue load shedding from a scripted client — and reports
-// {"completed":..,"shed":..,"expired":..,"failed":..}.
-//
-// Responses always carry "ok"; successful scoring responses carry
-// "degraded" (true when an unknown/cold user fell back to the popularity
-// ranking) and "snapshot_version" (bumps on every hot swap — in-flight
-// requests finish on the snapshot they started with).
-//
-//   {"ok":true,"op":"topk","user":3,"degraded":false,
-//    "snapshot_version":1,"items":[{"item":5,"score":1.25}, ...]}
-//   {"ok":false,"error":"..."}
+//   {"op":"burst","n":64,"user":3,"k":10}  fire n (<= 256) concurrent topk
+//                                          calls
+// "burst" is the way to exercise --max-queue load shedding from a
+// scripted client; it reports {"completed":..,"shed":..,"expired":..,
+// "failed":..}. Successful scoring responses carry "degraded" (true when
+// an unknown/cold user fell back to the popularity ranking) and
+// "snapshot_version" (bumps on every hot swap — in-flight requests finish
+// on the snapshot they started with).
 //
 // SIGHUP requests a reload of --snapshot before the next request is
 // served (the conventional "re-read your config" signal); the scripted
 // equivalent is the "reload" op. A failed reload/swap keeps the engine on
 // its current snapshot and reports the error in-band.
 //
-// SIGTERM/SIGINT drain gracefully: the handler is installed WITHOUT
-// SA_RESTART so the blocking stdin read is interrupted, in-flight
-// micro-batches finish (Handle calls are synchronous), serve_end is
-// emitted with reason=signal, metrics/trace/run-log flush, and the
-// process exits 0.
+// SIGTERM/SIGINT drain gracefully: the blocking stdin read is
+// interrupted, in-flight micro-batches finish (Handle calls are
+// synchronous), serve_end is emitted with reason=signal, metrics/trace/
+// run-log flush, and the process exits 0.
 //
 // Flags: --snapshot=F (required), --threads=N, --cache=N,
 // --social-alpha=A, --max-queue=N, --deadline-ms=T, --metrics-out=F,
@@ -87,14 +74,13 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "kernels/kernels.h"
 #include "serve/engine.h"
 #include "serve/observe.h"
-#include "serve/replay.h"
+#include "serve/protocol.h"
 #include "serve/snapshot.h"
-#include "serve/trace.h"
 #include "shard/shard_service.h"
 #include "shard/transport.h"
 #include "util/flags.h"
@@ -108,11 +94,9 @@ namespace {
 using namespace dgnn;
 
 volatile std::sig_atomic_t g_reload_requested = 0;
-volatile std::sig_atomic_t g_shutdown_requested = 0;
 volatile std::sig_atomic_t g_dump_requested = 0;
 
 void OnSighup(int) { g_reload_requested = 1; }
-void OnShutdown(int) { g_shutdown_requested = 1; }
 void OnSigusr1(int) { g_dump_requested = 1; }
 
 // Background exposition: appends a timestamped stats snapshot to
@@ -203,31 +187,6 @@ class ExpositionLoop {
   bool stop_ = false;
 };
 
-void PrintLine(const std::string& json) {
-  std::fputs(json.c_str(), stdout);
-  std::fputc('\n', stdout);
-  std::fflush(stdout);
-}
-
-void RespondError(const std::string& message) {
-  util::JsonObject o;
-  o.Set("ok", false).Set("error", message);
-  PrintLine(o.Build());
-}
-
-std::string ItemsJson(const std::vector<serve::ScoredItem>& items) {
-  std::string out = "[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ",";
-    util::JsonObject o;
-    o.Set("item", static_cast<int64_t>(items[i].item))
-        .Set("score", static_cast<double>(items[i].score));
-    out += o.Build();
-  }
-  out += "]";
-  return out;
-}
-
 void LogSwapEvent(const char* trigger, const std::string& path,
                   int64_t version, const util::Status& status) {
   if (!runlog::Active()) return;
@@ -240,158 +199,80 @@ void LogSwapEvent(const char* trigger, const std::string& path,
   runlog::Emit("snapshot_swap", o);
 }
 
-// Serves one parsed request line; returns false once "quit" was handled.
-bool Dispatch(serve::ServingEngine& engine, shard::ShardService& service,
-              const util::JsonValue& req, const std::string& snapshot_path) {
-  const std::string op = req.StringOr("op", "");
-  // Shard-protocol ops (probe / user_vector / *_partial / score_item /
-  // swap_prepare|commit|abort) work on stdin too — same handler the
-  // --listen socket uses.
-  std::string shard_out;
-  if (service.HandleShardOp(req, op, &shard_out)) {
-    PrintLine(shard_out);
-    return true;
+// The engine behind the client protocol, plus this binary's own ops:
+// the shard ops (through the ShardService the socket also uses),
+// reload, burst and Prometheus stats.
+class ServeBackend : public serve::Backend {
+ public:
+  ServeBackend(serve::ServingEngine& engine, shard::ShardService& service,
+               std::string snapshot_path)
+      : engine_(engine),
+        service_(service),
+        snapshot_path_(std::move(snapshot_path)) {}
+
+  serve::Response Handle(const serve::Request& request) override {
+    return engine_.Handle(request);
   }
-  if (op == "quit") {
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    PrintLine(o.Build());
-    return false;
+  util::StatusOr<int64_t> Swap(const std::string& path) override {
+    return Load("swap", path);
   }
-  if (op == "reload" || op == "swap") {
-    const std::string path =
-        op == "swap" ? req.StringOr("snapshot", "") : snapshot_path;
-    if (path.empty()) {
-      RespondError("swap requires a \"snapshot\" path");
+  std::string Stats() override { return service_.Stats(); }
+
+  bool HandleOp(const util::JsonValue& req, const std::string& op,
+                std::string* out) override {
+    // Every request line passes here first, so a SIGHUP reload lands
+    // before the next request is served.
+    if (g_reload_requested) {
+      g_reload_requested = 0;
+      auto reloaded = Load("SIGHUP", snapshot_path_);
+      if (!reloaded.ok()) {
+        std::fprintf(stderr, "reload failed (still serving previous "
+                             "snapshot): %s\n",
+                     reloaded.status().ToString().c_str());
+      }
+    }
+    if (service_.HandleShardOp(req, op, out)) return true;
+    if (op == "reload") {
+      *out = serve::SwapLine(op, Load("reload", snapshot_path_));
       return true;
     }
-    util::Status loaded = engine.Load(path);
-    LogSwapEvent(op.c_str(), path, engine.swap_count(), loaded);
-    if (!loaded.ok()) {
-      RespondError(loaded.ToString());
+    if (op == "burst") {
+      *out = serve::RunBurst(*this, req);
       return true;
     }
-    util::JsonObject o;
-    o.Set("ok", true).Set("op", op).Set("snapshot_version",
-                                        engine.swap_count());
-    PrintLine(o.Build());
-    return true;
-  }
-  if (op == "stats") {
-    // {"op":"stats"} returns the flat counters (wire-compatible with the
-    // pre-observability op) plus the rolling windows and SLO burn
-    // accounting; {"op":"stats","format":"prom"} wraps the Prometheus
-    // text exposition of the same snapshot in a single-line response
-    // (the NDJSON protocol cannot carry raw multi-line text).
     const std::string format = req.StringOr("format", "json");
-    if (format == "prom") {
-      auto prom = serve::observe::PromTextFromStatsJson(
-          serve::observe::StatsJson(engine));
-      if (!prom.ok()) {
-        RespondError(prom.status().ToString());
-        return true;
-      }
-      util::JsonObject o;
-      o.Set("ok", true).Set("op", op).Set("format", format).Set(
-          "text", prom.value());
-      PrintLine(o.Build());
+    if (op != "stats" || format == "json") return false;
+    // The NDJSON protocol cannot carry raw multi-line text, so the
+    // Prometheus exposition rides in a single-line response.
+    if (format != "prom") {
+      *out = serve::ErrorLine("unknown stats format '" + format + "'");
       return true;
     }
-    if (format != "json") {
-      RespondError("unknown stats format '" + format + "'");
+    auto prom = serve::observe::PromTextFromStatsJson(
+        serve::observe::StatsJson(engine_));
+    if (!prom.ok()) {
+      *out = serve::ErrorLine(prom.status().ToString());
       return true;
     }
     util::JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    serve::observe::AppendStatsFields(engine, &o);
-    PrintLine(o.Build());
-    return true;
-  }
-  if (op == "burst") {
-    const int n = static_cast<int>(req.NumberOr("n", 0));
-    if (n <= 0 || n > 10000) {
-      RespondError("burst requires \"n\" in [1, 10000]");
-      return true;
-    }
-    serve::Request base;
-    base.type = serve::Request::Type::kTopK;
-    base.user = static_cast<int32_t>(req.NumberOr("user", 0));
-    base.k = static_cast<int>(req.NumberOr("k", 10));
-    base.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
-    std::vector<serve::Response> responses(static_cast<size_t>(n));
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      threads.emplace_back([&engine, &responses, base, i] {
-        responses[static_cast<size_t>(i)] = engine.Handle(base);
-      });
-    }
-    for (auto& t : threads) t.join();
-    int64_t completed = 0, shed = 0, expired = 0, failed = 0;
-    for (const auto& r : responses) {
-      if (r.ok) {
-        ++completed;
-      } else if (r.error == "overloaded") {
-        ++shed;
-      } else if (r.error == "deadline exceeded") {
-        ++expired;
-      } else {
-        ++failed;
-      }
-    }
-    util::JsonObject o;
-    o.Set("ok", true)
-        .Set("op", op)
-        .Set("n", static_cast<int64_t>(n))
-        .Set("completed", completed)
-        .Set("shed", shed)
-        .Set("expired", expired)
-        .Set("failed", failed);
-    PrintLine(o.Build());
+    o.Set("ok", true).Set("op", op).Set("format", format).Set("text",
+                                                              prom.value());
+    *out = o.Build();
     return true;
   }
 
-  serve::Request request;
-  if (op == "topk") {
-    request.type = serve::Request::Type::kTopK;
-  } else if (op == "score") {
-    request.type = serve::Request::Type::kScore;
-  } else if (op == "similar_users") {
-    request.type = serve::Request::Type::kSimilarUsers;
-  } else {
-    RespondError("unknown op '" + op + "'");
-    return true;
+ private:
+  util::StatusOr<int64_t> Load(const char* trigger, const std::string& path) {
+    util::Status loaded = engine_.Load(path);
+    LogSwapEvent(trigger, path, engine_.swap_count(), loaded);
+    if (!loaded.ok()) return loaded;
+    return engine_.swap_count();
   }
-  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
-  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
-  request.k = static_cast<int>(req.NumberOr("k", 10));
-  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
 
-  const serve::Response resp = engine.Handle(request);
-  if (!resp.ok) {
-    util::JsonObject o;
-    o.Set("ok", false).Set("error", resp.error).Set("trace_id",
-                                                    resp.trace_id);
-    PrintLine(o.Build());
-    return true;
-  }
-  util::JsonObject o;
-  o.Set("ok", true)
-      .Set("op", op)
-      .Set("user", static_cast<int64_t>(request.user))
-      .Set("trace_id", resp.trace_id)
-      .Set("degraded", resp.degraded)
-      .Set("snapshot_version", resp.snapshot_version);
-  if (request.type == serve::Request::Type::kScore) {
-    o.Set("item", static_cast<int64_t>(request.item))
-        .Set("score", static_cast<double>(resp.score));
-  } else {
-    o.Set("k", static_cast<int64_t>(request.k))
-        .SetRaw("items", ItemsJson(resp.items));
-  }
-  PrintLine(o.Build());
-  return true;
-}
+  serve::ServingEngine& engine_;
+  shard::ShardService& service_;
+  const std::string snapshot_path_;
+};
 
 }  // namespace
 
@@ -532,41 +413,22 @@ int main(int argc, char** argv) {
         .Set("rerank", static_cast<int64_t>(config.rerank));
     runlog::Emit("serve_start", o);
   }
+  ServeBackend backend(engine, service, snapshot_path);
   // --replay-trace: instead of serving stdin, replay a recorded request
   // trace (serve/trace.h) open-loop against the loaded snapshot and
   // print one JSON result line — the production-binary counterpart of
   // `bench_serve_load --replay-trace`, for replaying a captured schedule
   // against a real exported snapshot.
   if (flags.Has("replay-trace")) {
-    auto trace = serve::ReadTrace(flags.GetString("replay-trace", ""));
-    if (!trace.ok()) {
+    auto replayed = serve::ReplayTraceFile(
+        backend, flags.GetString("replay-trace", ""),
+        static_cast<int>(flags.GetInt("workers", 4)));
+    if (!replayed.ok()) {
       std::fprintf(stderr, "error: %s\n",
-                   trace.status().ToString().c_str());
+                   replayed.status().ToString().c_str());
       return 1;
     }
-    serve::ReplayConfig replay_config;
-    replay_config.workers = static_cast<int>(flags.GetInt("workers", 4));
-    const serve::ReplayResult r =
-        serve::ReplayTrace(engine, trace.value().records, replay_config);
-    util::JsonObject o;
-    o.Set("ok", true)
-        .Set("op", "replay")
-        .Set("requests", r.requests)
-        .Set("seconds", r.seconds)
-        .Set("offered_qps", r.offered_qps)
-        .Set("achieved_qps", r.achieved_qps)
-        .Set("p50_ms", r.p50_ms)
-        .Set("p95_ms", r.p95_ms)
-        .Set("p99_ms", r.p99_ms)
-        .Set("completed", r.ok)
-        .Set("degraded", r.degraded)
-        .Set("shed", r.shed)
-        .Set("expired", r.expired)
-        .Set("failed", r.failed)
-        .Set("late_dispatches", r.late_dispatches)
-        .Set("distinct_trace_ids", r.distinct_trace_ids)
-        .Set("peak_rss_bytes", r.peak_rss_bytes);
-    PrintLine(o.Build());
+    std::cout << serve::ReplaySummary(replayed.value()).Build() << std::endl;
     return 0;
   }
 
@@ -580,16 +442,6 @@ int main(int argc, char** argv) {
   sigemptyset(&dump_action.sa_mask);
   dump_action.sa_flags = SA_RESTART;
   sigaction(SIGUSR1, &dump_action, nullptr);
-  // SIGTERM/SIGINT: sigaction without SA_RESTART, so a pending blocking
-  // getline fails with EINTR and the loop falls through to the drain path
-  // below instead of waiting for the next request line.
-  struct sigaction shutdown_action;
-  std::memset(&shutdown_action, 0, sizeof(shutdown_action));
-  shutdown_action.sa_handler = OnShutdown;
-  sigemptyset(&shutdown_action.sa_mask);
-  shutdown_action.sa_flags = 0;
-  sigaction(SIGTERM, &shutdown_action, nullptr);
-  sigaction(SIGINT, &shutdown_action, nullptr);
 
   ExpositionLoop exposition(
       engine, &stats_out, flags.GetDouble("stats-every-s", 10.0),
@@ -613,29 +465,7 @@ int main(int argc, char** argv) {
                  listen_path.c_str());
   }
 
-  std::string line;
-  bool running = true;
-  while (running && !g_shutdown_requested && std::getline(std::cin, line)) {
-    if (g_shutdown_requested) break;
-    if (g_reload_requested) {
-      g_reload_requested = 0;
-      util::Status s = engine.Load(snapshot_path);
-      LogSwapEvent("SIGHUP", snapshot_path, engine.swap_count(), s);
-      if (!s.ok()) {
-        std::fprintf(stderr, "reload failed (still serving previous "
-                             "snapshot): %s\n",
-                     s.ToString().c_str());
-      }
-    }
-    if (line.empty()) continue;
-    auto parsed = util::ParseJson(line);
-    if (!parsed.ok()) {
-      RespondError("request is not valid JSON: " +
-                   parsed.status().message());
-      continue;
-    }
-    running = Dispatch(engine, service, parsed.value(), snapshot_path);
-  }
+  const char* exit_reason = serve::ServeLines(backend, std::cin, std::cout);
 
   // Drain path: Handle calls are synchronous, so reaching this point means
   // every admitted micro-batch has completed. Flush every observability
@@ -644,8 +474,6 @@ int main(int argc, char** argv) {
   // crashes or is cut short, the run log's missing serve_end says so,
   // instead of a clean-looking serve_end followed by silently lost
   // metrics (the old atexit-ordering hazard).
-  const char* exit_reason =
-      g_shutdown_requested ? "signal" : (running ? "eof" : "quit");
   // Stop the socket front door first (in-flight socket requests finish
   // and get their responses), then abort any prepared-but-uncommitted
   // two-phase swap: a drain mid-swap must leave the fleet on the old

@@ -29,8 +29,6 @@ struct ServeMetrics {
   telemetry::Counter* failed =
       telemetry::GetCounter("serve.failed_requests");
   telemetry::Gauge* queue_depth = telemetry::GetGauge("serve.queue_depth");
-  telemetry::Histogram* latency =
-      telemetry::GetHistogram("serve.request_seconds");
   telemetry::Histogram* e2e = telemetry::GetHistogram("serve.e2e_seconds");
   telemetry::Histogram* stage_queue =
       telemetry::GetHistogram("serve.stage.queue_seconds");
@@ -87,6 +85,10 @@ const char* RequestTypeName(Request::Type t) {
 }  // namespace
 
 ServingEngine::ServingEngine(EngineConfig config) : config_(config) {
+  // Registering the metrics also fixes the telemetry trace epoch, so
+  // every admission stamps after it and RequestTrace::ts_us is never
+  // negative.
+  Metrics();
   telemetry::WindowedStats::Config wcfg;
   wcfg.slo_p99_ms = config_.slo_p99_ms;
   wcfg.slo_availability = config_.slo_availability;
@@ -212,11 +214,6 @@ void ServingEngine::FinishSlot(Slot* slot) {
     reply_s = Seconds(slot->stages.exec_end, t_done);
   }
   e2e_hist_.Record(total);
-  stage_queue_.Record(queue_s);
-  stage_recal_.Record(slot->stages.recal_seconds);
-  stage_compute_.Record(slot->stages.compute_seconds);
-  stage_rank_.Record(slot->stages.rank_seconds);
-  stage_reply_.Record(reply_s);
   if (telemetry::Enabled()) {
     ServeMetrics& m = Metrics();
     m.e2e->Record(total);
@@ -258,7 +255,6 @@ void ServingEngine::FinishSlot(Slot* slot) {
 }
 
 Response ServingEngine::Handle(const Request& request) {
-  telemetry::ScopedLatency record_latency(Metrics().latency);
   Slot slot;
   slot.request = &request;
   AdmitSlot(&slot);

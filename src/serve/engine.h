@@ -37,12 +37,12 @@
 // serve.cache_misses, serve.snapshot_swaps, serve.degraded_requests,
 // serve.requests, serve.batches, serve.shed_requests,
 // serve.expired_requests, serve.failed_requests; gauge
-// serve.queue_depth; histograms serve.request_seconds (Handle() wall
-// time, shed included), serve.e2e_seconds (admission -> response
-// handoff for executed requests) and the per-stage breakdown
+// serve.queue_depth; histograms serve.e2e_seconds (admission ->
+// response handoff, shed included) and the per-stage breakdown
 // serve.stage.{queue,recal,compute,rank,reply}_seconds, whose per-stage
-// sums reconcile with serve.e2e_seconds. The same values are always
-// available programmatically via stats() / windows().
+// sums reconcile with serve.e2e_seconds. The counters are always
+// available programmatically via stats(), and end-to-end latency via
+// windows().
 //
 // Observability plane: every request gets a monotonic trace id at
 // admission (survives hot swaps; returned in Response::trace_id), stage
@@ -409,16 +409,12 @@ class ServingEngine {
   // --- Observability plane ---
   std::atomic<int64_t> next_trace_id_{0};
 
-  // Engine-owned stage/end-to-end histograms (instantiated directly, not
-  // through the global registry) so windowed stats work even when
-  // process-wide telemetry is disabled; mirrored into serve.stage.* /
-  // serve.e2e_seconds registry histograms when telemetry::Enabled().
+  // Engine-owned end-to-end histogram, the sampler's latency source
+  // (instantiated directly, not through the global registry, so
+  // windowed stats work even when process-wide telemetry is disabled).
+  // The registry's serve.e2e_seconds and serve.stage.* histograms are
+  // recorded only when telemetry::Enabled().
   telemetry::Histogram e2e_hist_;
-  telemetry::Histogram stage_queue_;
-  telemetry::Histogram stage_recal_;
-  telemetry::Histogram stage_compute_;
-  telemetry::Histogram stage_rank_;
-  telemetry::Histogram stage_reply_;
 
   std::mutex sink_mu_;
   TraceSink sink_;

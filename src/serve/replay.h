@@ -1,13 +1,13 @@
 // Open-loop trace replay against a ServingEngine, measured the
 // coordinated-omission-safe way.
 //
-// A closed-loop client (bench_serve_load's default mode) waits for each
-// response before sending the next request, so when the server stalls
-// the client *stops offering load* — the stall keeps requests that would
-// have arrived out of the latency sample entirely, and the reported
-// percentiles can be off by orders of magnitude (Tene's "coordinated
-// omission"). Real traffic does not coordinate: requests keep arriving
-// on their own schedule whether or not the server is keeping up.
+// A closed-loop client waits for each response before sending the next
+// request, so when the server stalls the client *stops offering load* —
+// the stall keeps requests that would have arrived out of the latency
+// sample entirely, and the reported percentiles can be off by orders of
+// magnitude (Tene's "coordinated omission"). Real traffic does not
+// coordinate: requests keep arriving on their own schedule whether or
+// not the server is keeping up.
 //
 // ReplayTrace therefore:
 //   * takes the arrival schedule from the trace, not from the engine's

@@ -133,8 +133,8 @@ Trace GenerateTrace(const ScheduleConfig& schedule, int32_t num_users,
 
     TraceRecord rec;
     rec.arrival_ns = static_cast<int64_t>(t * 1e9);
-    // Same mix as the closed-loop bench: 7/10 TopK, 1/10 Score, 1/10
-    // SimilarUsers, 1/10 unknown-user (degraded popularity path).
+    // Mix: 7/10 TopK, 1/10 Score, 1/10 SimilarUsers, 1/10 unknown-user
+    // (degraded popularity path).
     // topk_only pins the mix to the known-user TopK slice (the retrieval
     // path under measurement); it changes only which branch is taken, so
     // arrival times and user draws stay on the same RNG stream shape.

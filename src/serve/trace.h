@@ -99,8 +99,8 @@ struct ScheduleConfig {
 };
 
 // Deterministically builds a trace: arrival times from the configured
-// process, request mix matching the closed-loop bench (7/10 TopK, 1/10
-// Score, 1/10 SimilarUsers, 1/10 unknown-user degraded traffic) with
+// process, a fixed request mix (7/10 TopK, 1/10 Score, 1/10
+// SimilarUsers, 1/10 unknown-user degraded traffic) with
 // `hot_fraction` of known-user traffic on the first num_users/8 users.
 // Same config -> bit-identical trace, on any machine.
 Trace GenerateTrace(const ScheduleConfig& schedule, int32_t num_users,

@@ -77,10 +77,10 @@ class Router::OpGuard {
   }
   ~OpGuard() {
     if (!admitted_) return;
-    {
-      std::lock_guard<std::mutex> lock(r_->drain_mu_);
-      --r_->inflight_ops_;
-    }
+    // Notify under the lock: once BeginDrain sees zero the router may be
+    // destroyed, so nothing may touch drain_cv_ after the unlock.
+    std::lock_guard<std::mutex> lock(r_->drain_mu_);
+    --r_->inflight_ops_;
     r_->drain_cv_.notify_all();
   }
   OpGuard(const OpGuard&) = delete;
@@ -103,10 +103,10 @@ void Router::IncAttempts() {
 }
 
 void Router::DecAttempts() {
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    --inflight_attempts_;
-  }
+  // Under the lock, as in ~OpGuard: a detached hedge thread calls this
+  // last, and the router may be destroyed as soon as the count is zero.
+  std::lock_guard<std::mutex> lock(drain_mu_);
+  --inflight_attempts_;
   drain_cv_.notify_all();
 }
 
@@ -499,8 +499,7 @@ void Router::Stop() {
 
 bool Router::FetchUserVector(int32_t user, TimePoint deadline,
                              std::vector<float>* vec, float* norm,
-                             std::vector<int32_t>* missing, bool* failover) {
-  *failover = false;
+                             std::vector<int32_t>* missing) {
   if (user < 0 || user >= num_users_) return false;  // unknown fleet-wide
   const int32_t owner = ring_.Owner(user);
   JsonObject line;
@@ -510,7 +509,8 @@ bool Router::FetchUserVector(int32_t user, TimePoint deadline,
   auto r = CallShard(owner, line.Build(), deadline);
   const auto fail = [&] {
     missing->push_back(owner);
-    *failover = true;
+    n_failovers_.fetch_add(1, std::memory_order_relaxed);
+    BumpTelemetry("serve.shard.failovers");
     return false;
   };
   if (!r.ok()) return fail();
@@ -526,7 +526,17 @@ bool Router::FetchUserVector(int32_t user, TimePoint deadline,
   return true;
 }
 
-serve::Response Router::TopK(int32_t user, int k, int64_t deadline_ms) {
+int64_t Router::MaxShardVersion() const {
+  int64_t max_version = 0;
+  for (const auto& e : shards_) {
+    max_version = std::max(
+        max_version, e->snapshot_version.load(std::memory_order_relaxed));
+  }
+  return max_version;
+}
+
+template <typename Body>
+serve::Response Router::RunOp(int64_t deadline_ms, Body&& body) {
   serve::Response resp;
   resp.trace_id = n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
   OpGuard guard(this);
@@ -539,41 +549,17 @@ serve::Response Router::TopK(int32_t user, int k, int64_t deadline_ms) {
     resp.error = "router not started";
     return resp;
   }
-  if (k <= 0) {
-    resp.error = "k must be positive";
-    return resp;
+  body(DeadlineFor(deadline_ms), &resp);
+  if (resp.ok && resp.degraded) {
+    n_degraded_.fetch_add(1, std::memory_order_relaxed);
+    BumpTelemetry("serve.shard.degraded_responses");
   }
-  const TimePoint deadline = DeadlineFor(deadline_ms);
+  return resp;
+}
 
-  std::vector<float> query;
-  float norm = 0.0f;
-  bool failover = false;
-  std::vector<int32_t> missing;
-  const bool have_vec =
-      FetchUserVector(user, deadline, &query, &norm, &missing, &failover);
-  if (failover) {
-    n_failovers_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.failovers");
-  }
-
-  const int64_t rem = RemainMs(deadline);
-  if (rem <= 0) {
-    resp.error = "deadline exceeded";
-    return resp;
-  }
-  JsonObject line;
-  line.Set("op", "topk_partial")
-      .Set("k", static_cast<int64_t>(k))
-      .Set("deadline_ms", rem);
-  if (have_vec) {
-    line.Set("user", static_cast<int64_t>(user))
-        .SetRaw("query", FloatsJson(query));
-  } else {
-    line.Set("popularity", true);
-    resp.degraded = true;
-  }
-  auto raw = Scatter(line.Build(), deadline);
-
+void Router::Gather(const std::string& line, int k, TimePoint deadline,
+                    std::vector<int32_t> missing, serve::Response* resp) {
+  auto raw = Scatter(line, deadline);
   std::vector<serve::ScoredItem> all;
   int64_t version = 0;
   int successes = 0;
@@ -583,13 +569,11 @@ serve::Response Router::TopK(int32_t user, int k, int64_t deadline_ms) {
     if (!raw[i].ok()) {
       last_err = raw[i].status().ToString();
       missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
       continue;
     }
     if (!ParsePartial(raw[i].value(), &p) || !p.ok) {
       last_err = p.error.empty() ? "malformed shard response" : p.error;
       missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
       continue;
     }
     ++successes;
@@ -597,218 +581,156 @@ serve::Response Router::TopK(int32_t user, int k, int64_t deadline_ms) {
     all.insert(all.end(), p.items.begin(), p.items.end());
   }
   if (successes == 0) {
-    resp.error = "all shards unavailable: " + last_err;
-    return resp;
+    resp->error = "all shards unavailable: " + last_err;
+    return;
   }
   if (failpoint::Enabled()) {
     Status st = failpoint::Check("shard.merge");
     if (!st.ok()) {
-      resp.error = st.ToString();
-      return resp;
+      resp->error = st.ToString();
+      return;
     }
   }
   // Per-shard top-ks each cover their slice, so the union contains every
   // global top-k candidate; SelectTopK applies the same (score desc, id
   // asc) total order every scoring path uses — bit-identical merge.
   serve::SelectTopK(all, k);
-  resp.items = std::move(all);
+  resp->items = std::move(all);
   SortUniqueShards(&missing);
-  resp.missing_shards = std::move(missing);
-  if (!resp.missing_shards.empty()) resp.degraded = true;
-  resp.snapshot_version = version;
-  resp.ok = true;
-  if (resp.degraded) {
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
+  resp->missing_shards = std::move(missing);
+  if (!resp->missing_shards.empty()) resp->degraded = true;
+  resp->snapshot_version = version;
+  resp->ok = true;
+}
+
+serve::Response Router::Handle(const serve::Request& request) {
+  switch (request.type) {
+    case serve::Request::Type::kTopK:
+      return TopK(request.user, request.k, request.timeout_ms);
+    case serve::Request::Type::kScore:
+      return Score(request.user, request.item, request.timeout_ms);
+    case serve::Request::Type::kSimilarUsers:
+      return SimilarUsers(request.user, request.k, request.timeout_ms);
+    default:
+      break;
   }
+  serve::Response resp;
+  resp.error = "the router serves only topk, score and similar_users";
   return resp;
+}
+
+serve::Response Router::TopK(int32_t user, int k, int64_t deadline_ms) {
+  return RunOp(deadline_ms, [&](TimePoint deadline, serve::Response* resp) {
+    if (k <= 0) {
+      resp->error = "k must be positive";
+      return;
+    }
+    std::vector<float> query;
+    float norm = 0.0f;
+    std::vector<int32_t> missing;
+    const bool have_vec =
+        FetchUserVector(user, deadline, &query, &norm, &missing);
+    const int64_t rem = RemainMs(deadline);
+    if (rem <= 0) {
+      resp->error = "deadline exceeded";
+      return;
+    }
+    JsonObject line;
+    line.Set("op", "topk_partial")
+        .Set("k", static_cast<int64_t>(k))
+        .Set("deadline_ms", rem);
+    if (have_vec) {
+      line.Set("user", static_cast<int64_t>(user))
+          .SetRaw("query", FloatsJson(query));
+    } else {
+      line.Set("popularity", true);
+      resp->degraded = true;
+    }
+    Gather(line.Build(), k, deadline, std::move(missing), resp);
+  });
 }
 
 serve::Response Router::Score(int32_t user, int32_t item,
                               int64_t deadline_ms) {
-  serve::Response resp;
-  resp.trace_id = n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  OpGuard guard(this);
-  if (guard.shed()) {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.error = "overloaded";
-    return resp;
-  }
-  if (!started_.load(std::memory_order_acquire)) {
-    resp.error = "router not started";
-    return resp;
-  }
-  const TimePoint deadline = DeadlineFor(deadline_ms);
-
-  int64_t max_version = 0;
-  for (const auto& e : shards_) {
-    max_version = std::max(
-        max_version, e->snapshot_version.load(std::memory_order_relaxed));
-  }
-  const auto degrade = [&](std::vector<int32_t> missing) {
-    resp.ok = true;
-    resp.degraded = true;
-    resp.score = 0.0f;
-    resp.snapshot_version = max_version;
-    resp.missing_shards = std::move(missing);
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-    return resp;
-  };
-
-  // Unknown user or item: the same neutral degraded score the
-  // single-process engine returns.
-  if (user < 0 || user >= num_users_ || item < 0 || item >= num_items_) {
-    return degrade({});
-  }
-  std::vector<float> query;
-  float norm = 0.0f;
-  bool failover = false;
-  std::vector<int32_t> missing;
-  if (!FetchUserVector(user, deadline, &query, &norm, &missing, &failover)) {
-    if (failover) {
-      n_failovers_.fetch_add(1, std::memory_order_relaxed);
-      BumpTelemetry("serve.shard.failovers");
+  return RunOp(deadline_ms, [&](TimePoint deadline, serve::Response* resp) {
+    // Unknown user or item, or a shard that cannot answer: the same
+    // neutral degraded score the single-process engine returns.
+    const auto degrade = [&](std::vector<int32_t> missing) {
+      resp->ok = true;
+      resp->degraded = true;
+      resp->score = 0.0f;
+      resp->snapshot_version = MaxShardVersion();
+      resp->missing_shards = std::move(missing);
+    };
+    if (user < 0 || user >= num_users_ || item < 0 || item >= num_items_) {
+      return degrade({});
     }
-    return degrade(std::move(missing));
-  }
-
-  int item_shard = -1;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (item >= shards_[i]->id.item_begin &&
-        item < shards_[i]->id.item_end) {
-      item_shard = static_cast<int>(i);
-      break;
+    std::vector<float> query;
+    float norm = 0.0f;
+    std::vector<int32_t> missing;
+    if (!FetchUserVector(user, deadline, &query, &norm, &missing)) {
+      return degrade(std::move(missing));
     }
-  }
-  if (item_shard < 0) return degrade({});
-  JsonObject line;
-  line.Set("op", "score_item")
-      .Set("item", static_cast<int64_t>(item))
-      .Set("deadline_ms", std::max<int64_t>(RemainMs(deadline), 1))
-      .SetRaw("query", FloatsJson(query));
-  auto r = CallShard(item_shard, line.Build(), deadline);
-  PartialResult p;
-  if (!r.ok() || !ParsePartial(r.value(), &p) || !p.ok) {
-    return degrade({static_cast<int32_t>(item_shard)});
-  }
-  resp.ok = true;
-  resp.score = p.score;
-  resp.degraded = p.degraded;
-  resp.snapshot_version = p.version;
-  if (resp.degraded) {
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-  }
-  return resp;
+    int item_shard = -1;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (item >= shards_[i]->id.item_begin &&
+          item < shards_[i]->id.item_end) {
+        item_shard = static_cast<int>(i);
+        break;
+      }
+    }
+    if (item_shard < 0) return degrade({});
+    JsonObject line;
+    line.Set("op", "score_item")
+        .Set("item", static_cast<int64_t>(item))
+        .Set("deadline_ms", std::max<int64_t>(RemainMs(deadline), 1))
+        .SetRaw("query", FloatsJson(query));
+    auto r = CallShard(item_shard, line.Build(), deadline);
+    PartialResult p;
+    if (!r.ok() || !ParsePartial(r.value(), &p) || !p.ok) {
+      return degrade({static_cast<int32_t>(item_shard)});
+    }
+    resp->ok = true;
+    resp->score = p.score;
+    resp->degraded = p.degraded;
+    resp->snapshot_version = p.version;
+  });
 }
 
 serve::Response Router::SimilarUsers(int32_t user, int k,
                                      int64_t deadline_ms) {
-  serve::Response resp;
-  resp.trace_id = n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  OpGuard guard(this);
-  if (guard.shed()) {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.error = "overloaded";
-    return resp;
-  }
-  if (!started_.load(std::memory_order_acquire)) {
-    resp.error = "router not started";
-    return resp;
-  }
-  if (k <= 0) {
-    resp.error = "k must be positive";
-    return resp;
-  }
-  const TimePoint deadline = DeadlineFor(deadline_ms);
-
-  int64_t max_version = 0;
-  for (const auto& e : shards_) {
-    max_version = std::max(
-        max_version, e->snapshot_version.load(std::memory_order_relaxed));
-  }
-  std::vector<float> query;
-  float norm = 0.0f;
-  bool failover = false;
-  std::vector<int32_t> missing;
-  if (!FetchUserVector(user, deadline, &query, &norm, &missing, &failover)) {
-    // Without the query vector there is nothing to rank against —
-    // degraded empty answer (single-process parity for unknown users;
-    // attributed to the owner when it was a failover).
-    if (failover) {
-      n_failovers_.fetch_add(1, std::memory_order_relaxed);
-      BumpTelemetry("serve.shard.failovers");
+  return RunOp(deadline_ms, [&](TimePoint deadline, serve::Response* resp) {
+    if (k <= 0) {
+      resp->error = "k must be positive";
+      return;
     }
-    resp.ok = true;
-    resp.degraded = true;
-    resp.snapshot_version = max_version;
-    SortUniqueShards(&missing);
-    resp.missing_shards = std::move(missing);
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-    return resp;
-  }
-
-  const int64_t rem = RemainMs(deadline);
-  if (rem <= 0) {
-    resp.error = "deadline exceeded";
-    return resp;
-  }
-  JsonObject line;
-  line.Set("op", "similar_partial")
-      .Set("user", static_cast<int64_t>(user))
-      .Set("k", static_cast<int64_t>(k))
-      .Set("norm", static_cast<double>(norm))
-      .Set("deadline_ms", rem)
-      .SetRaw("query", FloatsJson(query));
-  auto raw = Scatter(line.Build(), deadline);
-
-  std::vector<serve::ScoredItem> all;
-  int64_t version = 0;
-  int successes = 0;
-  std::string last_err;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    PartialResult p;
-    if (!raw[i].ok()) {
-      last_err = raw[i].status().ToString();
-      missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
-      continue;
+    std::vector<float> query;
+    float norm = 0.0f;
+    std::vector<int32_t> missing;
+    if (!FetchUserVector(user, deadline, &query, &norm, &missing)) {
+      // Without the query vector there is nothing to rank against —
+      // degraded empty answer (single-process parity for unknown users;
+      // attributed to the owner when it was a failover).
+      resp->ok = true;
+      resp->degraded = true;
+      resp->snapshot_version = MaxShardVersion();
+      resp->missing_shards = std::move(missing);
+      return;
     }
-    if (!ParsePartial(raw[i].value(), &p) || !p.ok) {
-      last_err = p.error.empty() ? "malformed shard response" : p.error;
-      missing.push_back(static_cast<int32_t>(i));
-      resp.degraded = true;
-      continue;
+    const int64_t rem = RemainMs(deadline);
+    if (rem <= 0) {
+      resp->error = "deadline exceeded";
+      return;
     }
-    ++successes;
-    version = std::max(version, p.version);
-    all.insert(all.end(), p.items.begin(), p.items.end());
-  }
-  if (successes == 0) {
-    resp.error = "all shards unavailable: " + last_err;
-    return resp;
-  }
-  if (failpoint::Enabled()) {
-    Status st = failpoint::Check("shard.merge");
-    if (!st.ok()) {
-      resp.error = st.ToString();
-      return resp;
-    }
-  }
-  serve::SelectTopK(all, k);
-  resp.items = std::move(all);
-  SortUniqueShards(&missing);
-  resp.missing_shards = std::move(missing);
-  if (!resp.missing_shards.empty()) resp.degraded = true;
-  resp.snapshot_version = version;
-  resp.ok = true;
-  if (resp.degraded) {
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.degraded_responses");
-  }
-  return resp;
+    JsonObject line;
+    line.Set("op", "similar_partial")
+        .Set("user", static_cast<int64_t>(user))
+        .Set("k", static_cast<int64_t>(k))
+        .Set("norm", static_cast<double>(norm))
+        .Set("deadline_ms", rem)
+        .SetRaw("query", FloatsJson(query));
+    Gather(line.Build(), k, deadline, std::move(missing), resp);
+  });
 }
 
 util::StatusOr<int64_t> Router::CoordinatedSwap(const std::string& prefix) {

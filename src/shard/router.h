@@ -1,10 +1,11 @@
 // Health-checked scatter/gather router over a fleet of dgnn_serve shard
 // workers (the tentpole of the fault-tolerant sharded serving layer).
 //
-// The router speaks the classic client protocol upward (topk / score /
-// similar_users with the exact response shapes dgnn_serve prints) and
-// the shard vocabulary downward (user_vector / topk_partial /
-// similar_partial / score_item over shard/transport.h sockets):
+// The router answers the client ops upward (topk / score /
+// similar_users; dgnn_router serves them through serve/protocol.h, the
+// same module dgnn_serve answers with) and speaks the shard vocabulary
+// downward (user_vector / topk_partial / similar_partial / score_item
+// over shard/transport.h sockets):
 //
 //   topk(user):  1. fetch the user's scoring vector from the shard the
 //                   consistent-hash ring says owns the user;
@@ -152,6 +153,9 @@ class Router {
                         int64_t deadline_ms = 0);
   serve::Response SimilarUsers(int32_t user, int k,
                                int64_t deadline_ms = 0);
+  // The client op `request` names (kTopK / kScore / kSimilarUsers), with
+  // request.timeout_ms as its deadline_ms; any other type is refused.
+  serve::Response Handle(const serve::Request& request);
 
   // Two-phase coordinated snapshot swap: prepare everywhere, then commit
   // everywhere. Any prepare failure aborts the stage on every shard and
@@ -231,13 +235,25 @@ class Router {
   util::Status ProbeShardOnce(ShardEntry& e, ShardIdentity* id_out);
   void ProbeLoop();
   void TickWindows();
-  // Fetches the user's scoring vector from the owning shard. Returns:
-  // true + vector/norm on success; false with *fallback=true when the
-  // answer must degrade (owner unreachable -> missing/failover, or the
-  // engine reported the user unknown).
+  // Fetches the user's scoring vector from the owning shard. Returns
+  // true + vector/norm on success; false when the answer must degrade:
+  // the engine reported the user unknown, or the owner was unreachable
+  // (then the owner joins *missing and counts as a failover).
   bool FetchUserVector(int32_t user, TimePoint deadline,
                        std::vector<float>* vec, float* norm,
-                       std::vector<int32_t>* missing, bool* failover);
+                       std::vector<int32_t>* missing);
+  // Highest snapshot version the probes have seen across the fleet.
+  int64_t MaxShardVersion() const;
+  // The admission prelude of every client op: trace id, the in-flight
+  // guard (shed), the started check and the deadline. Then runs
+  // body(deadline, &resp) and counts the answer if it came back
+  // degraded.
+  template <typename Body>
+  serve::Response RunOp(int64_t deadline_ms, Body&& body);
+  // Scatters a partial-ranking `line` to every shard and merges the
+  // per-shard top-ks into *resp; shards that fail join `missing`.
+  void Gather(const std::string& line, int k, TimePoint deadline,
+              std::vector<int32_t> missing, serve::Response* resp);
   void IncAttempts();
   void DecAttempts();
 
@@ -255,7 +271,6 @@ class Router {
   std::condition_variable probe_cv_;
   std::chrono::steady_clock::time_point last_tick_{};
 
-  std::atomic<int64_t> trace_seq_{0};
   std::atomic<int64_t> swap_seq_{0};
   std::atomic<int64_t> n_requests_{0};
   std::atomic<int64_t> n_retries_{0};

@@ -20,25 +20,6 @@ std::string ErrorLine(const std::string& op, const std::string& message) {
   return o.Build();
 }
 
-std::string EngineErrorLine(const serve::Response& resp) {
-  JsonObject o;
-  o.Set("ok", false).Set("error", resp.error).Set("trace_id",
-                                                  resp.trace_id);
-  return o.Build();
-}
-
-// The common prefix of every successful engine-backed response; matches
-// what dgnn_serve prints on stdout for the classic ops.
-JsonObject ResponseHead(const std::string& op, const serve::Response& resp) {
-  JsonObject o;
-  o.Set("ok", true)
-      .Set("op", op)
-      .Set("trace_id", resp.trace_id)
-      .Set("degraded", resp.degraded)
-      .Set("snapshot_version", resp.snapshot_version);
-  return o;
-}
-
 }  // namespace
 
 std::string ShardService::Probe() {
@@ -214,10 +195,13 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
   } else {
     return false;
   }
-  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
-  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
-  request.k = static_cast<int>(req.NumberOr("k", 10));
-  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
+  request.user = -1;
+  request.item = -1;
+  const util::Status fields = serve::ReadRequestFields(req, &request);
+  if (!fields.ok()) {
+    *out = ErrorLine(op, fields.message());
+    return true;
+  }
   request.popularity = req.BoolOr("popularity", false);
   request.query_norm = static_cast<float>(req.NumberOr("norm", 0.0));
   const JsonValue* query = req.Find("query");
@@ -228,10 +212,15 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
 
   const serve::Response resp = engine_.Handle(request);
   if (!resp.ok) {
-    *out = EngineErrorLine(resp);
+    *out = serve::ResponseLine(op, request, resp);
     return true;
   }
-  JsonObject o = ResponseHead(op, resp);
+  JsonObject o;
+  o.Set("ok", true)
+      .Set("op", op)
+      .Set("trace_id", resp.trace_id)
+      .Set("degraded", resp.degraded)
+      .Set("snapshot_version", resp.snapshot_version);
   switch (request.type) {
     case serve::Request::Type::kUserVector:
       o.Set("user", static_cast<int64_t>(request.user))
@@ -244,72 +233,22 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
       break;
     default:  // the partial rankers
       o.Set("k", static_cast<int64_t>(request.k))
-          .SetRaw("items", ItemsJson(resp.items));
+          .SetRaw("items", serve::ItemsJson(resp.items));
       break;
   }
   *out = o.Build();
   return true;
 }
 
-std::string ShardService::HandleLine(const std::string& line) {
-  auto parsed = util::ParseJson(line);
-  if (!parsed.ok()) {
-    JsonObject o;
-    o.Set("ok", false).Set("error", "request is not valid JSON: " +
-                                        parsed.status().message());
-    return o.Build();
-  }
-  const JsonValue& req = parsed.value();
-  const std::string op = req.StringOr("op", "");
-  std::string out;
-  if (HandleShardOp(req, op, &out)) {
-    return out;
-  }
+util::StatusOr<int64_t> ShardService::Swap(const std::string& /*path*/) {
+  return util::Status::FailedPrecondition(
+      "a shard worker swaps snapshots through swap_prepare/swap_commit");
+}
 
-  if (op == "stats") {
-    JsonObject o;
-    o.Set("ok", true).Set("op", op);
-    serve::observe::AppendStatsFields(engine_, &o);
-    return o.Build();
-  }
-
-  // The classic client ops, with the exact response shapes dgnn_serve
-  // prints on stdout — a shard worker's socket is a superset of the
-  // single-process protocol.
-  serve::Request request;
-  if (op == "topk") {
-    request.type = serve::Request::Type::kTopK;
-  } else if (op == "score") {
-    request.type = serve::Request::Type::kScore;
-  } else if (op == "similar_users") {
-    request.type = serve::Request::Type::kSimilarUsers;
-  } else {
-    JsonObject o;
-    o.Set("ok", false).Set("error", "unknown op '" + op + "'");
-    return o.Build();
-  }
-  request.user = static_cast<int32_t>(req.NumberOr("user", -1));
-  request.item = static_cast<int32_t>(req.NumberOr("item", -1));
-  request.k = static_cast<int>(req.NumberOr("k", 10));
-  request.timeout_ms = static_cast<int64_t>(req.NumberOr("deadline_ms", 0));
-  const serve::Response resp = engine_.Handle(request);
-  if (!resp.ok) {
-    return EngineErrorLine(resp);
-  }
+std::string ShardService::Stats() {
   JsonObject o;
-  o.Set("ok", true)
-      .Set("op", op)
-      .Set("user", static_cast<int64_t>(request.user))
-      .Set("trace_id", resp.trace_id)
-      .Set("degraded", resp.degraded)
-      .Set("snapshot_version", resp.snapshot_version);
-  if (request.type == serve::Request::Type::kScore) {
-    o.Set("item", static_cast<int64_t>(request.item))
-        .Set("score", static_cast<double>(resp.score));
-  } else {
-    o.Set("k", static_cast<int64_t>(request.k))
-        .SetRaw("items", ItemsJson(resp.items));
-  }
+  o.Set("ok", true).Set("op", "stats");
+  serve::observe::AppendStatsFields(engine_, &o);
   return o.Build();
 }
 

@@ -1,8 +1,8 @@
 // Worker-side shard protocol: the ops a dgnn_serve shard worker answers
-// beyond the classic client ops, plus the staged two-phase snapshot
-// swap. One ShardService wraps one ServingEngine; HandleLine() is the
-// complete NDJSON request->response function the socket transport (and
-// the stdin loop) plug in.
+// beyond the client protocol, plus the staged two-phase snapshot swap.
+// One ShardService wraps one ServingEngine and is its serve::Backend;
+// HandleLine() is the complete NDJSON request->response function the
+// socket transport plugs in.
 //
 // Ops (one JSON object per line):
 //   {"op":"probe"}                          liveness + identity + load
@@ -14,8 +14,9 @@
 //   {"op":"swap_prepare","prefix":P,"token":T}   stage (read+validate)
 //   {"op":"swap_commit","token":T}               publish staged snapshot
 //   {"op":"swap_abort","token":T}                drop staged snapshot
-//   plus the classic topk / score / similar_users / stats ops with the
-//   same response shapes dgnn_serve prints on stdout.
+//   plus the client ops of serve/protocol.h (topk / score /
+//   similar_users / stats). A plain "swap" is refused: a worker changes
+//   snapshots only through the two-phase ops.
 //
 // Two-phase swap contract: prepare reads and FULLY validates the new
 // snapshot (sharded workers resolve "<prefix>.shard<i>of<N>" themselves
@@ -33,24 +34,39 @@
 #include <string>
 
 #include "serve/engine.h"
+#include "serve/protocol.h"
 #include "util/json.h"
 
 namespace dgnn::shard {
 
-class ShardService {
+class ShardService : public serve::Backend {
  public:
   ShardService(serve::ServingEngine& engine, std::string snapshot_path)
       : engine_(engine), snapshot_path_(std::move(snapshot_path)) {}
 
-  // Full line handler: parse, dispatch, respond (single-line JSON).
+  // Full line handler: the shard ops first, then the client protocol.
   // Thread-safe; scoring ops micro-batch through the engine as usual.
-  std::string HandleLine(const std::string& line);
+  std::string HandleLine(const std::string& line) {
+    return serve::HandleLine(*this, line);
+  }
 
   // Dispatches one parsed request. Returns false when `op` is not a
   // shard-protocol op (caller falls through to its own ops), true with
   // *out filled otherwise.
   bool HandleShardOp(const util::JsonValue& req, const std::string& op,
                      std::string* out);
+
+  // serve::Backend over the engine.
+  serve::Response Handle(const serve::Request& request) override {
+    return engine_.Handle(request);
+  }
+  util::StatusOr<int64_t> Swap(const std::string& path) override;
+  // {"ok":true,"op":"stats",...}: the engine's counters and windows.
+  std::string Stats() override;
+  bool HandleOp(const util::JsonValue& req, const std::string& op,
+                std::string* out) override {
+    return HandleShardOp(req, op, out);
+  }
 
   // Drops a staged (prepared-but-uncommitted) swap, if any; returns
   // whether one was staged. The drain path calls this so a SIGTERM

@@ -44,20 +44,8 @@ inline bool ParseFloatArray(const util::JsonValue* v,
   return true;
 }
 
-// '[{"item":N,"score":S},...]' — the exact shape dgnn_serve has always
-// printed for topk/similar_users, reused for partial responses.
-inline std::string ItemsJson(const std::vector<serve::ScoredItem>& items) {
-  std::string out = "[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "{\"item\":" + std::to_string(items[i].item) +
-           ",\"score\":" +
-           util::JsonDouble(static_cast<double>(items[i].score)) + "}";
-  }
-  out += "]";
-  return out;
-}
-
+// Inverse of serve::ItemsJson (serve/protocol.h), which prints partial
+// responses in the client protocol's item shape.
 inline bool ParseItems(const util::JsonValue* v,
                        std::vector<serve::ScoredItem>* out) {
   if (v == nullptr || !v->is_array()) return false;

@@ -191,69 +191,10 @@ double Histogram::max_seconds() const {
 }
 
 double Histogram::ApproxQuantileSeconds(double q) const {
-  const int64_t n = count();
-  if (n <= 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-th value (1-based, ceil), walked over the cumulative
-  // bucket counts. The answer is that bucket's upper bound, clamped into
-  // the observed [min, max] so q=0/q=1 stay faithful.
-  const int64_t rank =
-      std::max<int64_t>(1, static_cast<int64_t>(std::ceil(q * static_cast<double>(n))));
-  int64_t cumulative = 0;
-  double value = max_seconds();
-  for (int i = 0; i < kNumBuckets; ++i) {
-    cumulative += bucket_count(i);
-    if (cumulative >= rank) {
-      value = BucketUpperBound(i);
-      break;
-    }
-  }
-  return std::min(std::max(value, min_seconds()), max_seconds());
-}
-
-std::vector<double> Histogram::ApproxQuantilesSeconds(
-    const std::vector<double>& qs) const {
-  // One consistent snapshot of the buckets; concurrent Records that land
-  // mid-call cannot make a later quantile answer from different data
-  // than an earlier one.
-  int64_t counts[kNumBuckets];
-  int64_t n = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    counts[i] = bucket_count(i);
-    n += counts[i];
-  }
-  std::vector<double> out(qs.size(), 0.0);
-  if (n <= 0) return out;
-  const double lo = min_seconds();
-  const double hi = max_seconds();
-
-  // Sort quantile indices by rank, then walk the cumulative counts once.
-  std::vector<size_t> order(qs.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  auto rank_of = [&](double q) {
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    return std::max<int64_t>(
-        1, static_cast<int64_t>(std::ceil(q * static_cast<double>(n))));
-  };
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return rank_of(qs[a]) < rank_of(qs[b]);
-  });
-
-  int64_t cumulative = 0;
-  int bucket = 0;
-  for (size_t idx : order) {
-    const int64_t rank = rank_of(qs[idx]);
-    while (bucket < kNumBuckets && cumulative + counts[bucket] < rank) {
-      cumulative += counts[bucket];
-      ++bucket;
-    }
-    const double value =
-        bucket < kNumBuckets ? BucketUpperBound(bucket) : hi;
-    out[idx] = std::min(std::max(value, lo), hi);
-  }
-  return out;
+  const Counts c = SnapshotCounts();
+  if (c.count <= 0) return 0.0;
+  return std::min(std::max(QuantileFromCounts(c, q), min_seconds()),
+                  max_seconds());
 }
 
 Histogram::Counts Histogram::SnapshotCounts() const {

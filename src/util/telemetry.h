@@ -126,19 +126,10 @@ class Histogram {
 
   void Record(double seconds);
 
-  // Approximate quantile (q in [0, 1], clamped) read off the cumulative
-  // bucket counts: the upper bound of the bucket holding the q-th
-  // recorded value, clamped into [min_seconds, max_seconds]. Resolution
-  // is one power-of-two bucket — adequate for p50/p95/p99 latency
-  // reporting (bench_serve_load). 0 when nothing was recorded.
+  // QuantileFromCounts over a snapshot of this histogram, clamped into
+  // [min_seconds, max_seconds] so q=0/q=1 stay faithful. 0 when nothing
+  // was recorded.
   double ApproxQuantileSeconds(double q) const;
-
-  // Several quantiles in one pass over the buckets (and one consistent
-  // read of the counts — concurrent Record calls cannot land between
-  // the per-quantile walks the way repeated ApproxQuantileSeconds calls
-  // allow). `qs` need not be sorted; result i answers qs[i].
-  std::vector<double> ApproxQuantilesSeconds(
-      const std::vector<double>& qs) const;
 
   // Copies the current bucket counts without blocking writers (32 relaxed
   // loads; `count` is recomputed as the bucket sum so the identity holds).
@@ -151,9 +142,11 @@ class Histogram {
   // everything recorded so far.
   Counts SnapshotDelta(Counts* cursor) const;
 
-  // Nearest-rank quantile over a detached Counts (same semantics as
-  // ApproxQuantileSeconds minus the min/max clamp, which Counts does not
-  // carry). 0 when the counts are empty.
+  // Nearest-rank quantile read off the cumulative bucket counts: the
+  // upper bound of the bucket holding the q-th recorded value (q in
+  // [0, 1], clamped). Resolution is one power-of-two bucket, so above
+  // 1 us the answer is >= the exact sample quantile and < twice it. 0
+  // when the counts are empty.
   static double QuantileFromCounts(const Counts& c, double q);
 
   int64_t count() const { return count_.load(std::memory_order_relaxed); }

@@ -261,7 +261,7 @@ TEST_F(ServeEngineTest, RequestLatencyHistogramRecorded) {
     engine.Handle(TopKRequest(i % dataset_.num_users, 5));
   }
   telemetry::Histogram* latency =
-      telemetry::GetHistogram("serve.request_seconds");
+      telemetry::GetHistogram("serve.e2e_seconds");
   EXPECT_EQ(latency->count(), kRequests);
   EXPECT_GE(latency->ApproxQuantileSeconds(0.99),
             latency->ApproxQuantileSeconds(0.50));

@@ -498,6 +498,28 @@ TEST_F(ShardRouterTest, WorkerDrainAbortsStagedSwap) {
   EXPECT_EQ(workers_[0]->engine->swap_count(), 1);
 }
 
+TEST_F(ShardRouterTest, WorkerSocketRefusesPlainSwapAndOutOfRangeFields) {
+  shard::ShardService& service = *workers_[0]->service;
+  // A worker changes snapshots only through the two-phase ops.
+  EXPECT_EQ(service.HandleLine("{\"op\":\"swap\",\"snapshot\":\"" +
+                               workers_[1]->snapshot_path + "\"}"),
+            R"({"ok":false,"error":"FailedPrecondition: a shard worker )"
+            R"(swaps snapshots through swap_prepare/swap_commit"})");
+  EXPECT_EQ(workers_[0]->engine->swap_count(), 1);
+  // Shard ops refuse an out-of-range field in their own error shape,
+  // before the engine sees the request.
+  EXPECT_EQ(
+      service.HandleLine(R"({"op":"topk_partial","k":1e10,"popularity":true})"),
+      R"({"ok":false,"op":"topk_partial","error":"\"k\" must be in )"
+      R"([-2147483648, 2147483647]"})");
+  EXPECT_EQ(workers_[0]->engine->stats().requests, 0);
+  // The client ops answer through the shared protocol module.
+  const std::string topk =
+      service.HandleLine(R"({"op":"topk","user":-1,"k":2})");
+  EXPECT_EQ(topk.rfind(R"({"ok":true,"op":"topk","user":-1,)", 0), 0u)
+      << topk;
+}
+
 // ----- stats ----------------------------------------------------------------
 
 TEST_F(ShardRouterTest, StatsJsonCarriesPerShardHealth) {

@@ -20,6 +20,7 @@
 #include "graph/hetero_graph.h"
 #include "models/bpr_mf.h"
 #include "serve/engine.h"
+#include "serve/protocol.h"
 #include "serve/ranking.h"
 #include "serve/snapshot.h"
 #include "shard/health.h"
@@ -119,7 +120,7 @@ TEST(ShardWireTest, FloatsRoundTripBitExactly) {
 TEST(ShardWireTest, ItemsRoundTripBitExactly) {
   const std::vector<ScoredItem> items = {
       {0, 0.1f}, {7, -1.0f / 3.0f}, {149, 1e-40f}};
-  auto parsed = util::ParseJson(shard::ItemsJson(items));
+  auto parsed = util::ParseJson(serve::ItemsJson(items));
   ASSERT_TRUE(parsed.ok());
   std::vector<ScoredItem> back;
   ASSERT_TRUE(shard::ParseItems(&parsed.value(), &back));
@@ -226,7 +227,7 @@ class ShardPartitionTest : public ::testing::Test {
       const Response r = engine->Handle(part);
       EXPECT_TRUE(r.ok);
       degraded = degraded || r.degraded;
-      auto parsed = util::ParseJson(shard::ItemsJson(r.items));
+      auto parsed = util::ParseJson(serve::ItemsJson(r.items));
       EXPECT_TRUE(parsed.ok());
       std::vector<ScoredItem> items;
       EXPECT_TRUE(shard::ParseItems(&parsed.value(), &items));

@@ -257,10 +257,10 @@ double ExactQuantile(const std::vector<double>& sorted, double q) {
 }
 
 TEST_F(TelemetryTest, HistogramQuantileWithinBucketOfExact) {
-  // Against the exact sorted-sample quantile, the histogram answer is
+  // Against the exact sorted-sample quantile, the bucket quantile is
   // sandwiched by its own resolution guarantee: buckets double, so the
-  // reported upper bound is >= the exact value and < 2x it (clamping
-  // into [min, max] only ever moves it closer to the exact value).
+  // reported upper bound is >= the exact value and < 2x it. Clamping
+  // into [min, max] (ApproxQuantileSeconds) only ever moves it closer.
   Histogram* h = GetHistogram("test.hist_vs_exact");
   std::vector<double> samples;
   uint64_t lcg = 12345;
@@ -274,13 +274,17 @@ TEST_F(TelemetryTest, HistogramQuantileWithinBucketOfExact) {
   for (double s : samples) h->Record(s);
   std::sort(samples.begin(), samples.end());
 
+  const Histogram::Counts counts = h->SnapshotCounts();
   for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0}) {
     const double exact = ExactQuantile(samples, q);
+    const double bucket = Histogram::QuantileFromCounts(counts, q);
+    EXPECT_GE(bucket, exact) << "q=" << q;
+    EXPECT_LT(bucket, 2.0 * exact) << "q=" << q;
     const double approx = h->ApproxQuantileSeconds(q);
     // min/max are kept as integer nanoseconds, so the clamp can sit one
     // nanosecond below the exact double value.
     EXPECT_GE(approx, exact * (1.0 - 1e-9) - 1e-9) << "q=" << q;
-    EXPECT_LT(approx, 2.0 * exact) << "q=" << q;
+    EXPECT_LE(approx, bucket) << "q=" << q;
   }
 }
 
@@ -289,10 +293,6 @@ TEST_F(TelemetryTest, HistogramQuantileEmptyAndSingleSample) {
   for (double q : {0.0, 0.5, 1.0}) {
     EXPECT_DOUBLE_EQ(empty->ApproxQuantileSeconds(q), 0.0);
   }
-  const auto batch = empty->ApproxQuantilesSeconds({0.5, 0.99});
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_DOUBLE_EQ(batch[0], 0.0);
-  EXPECT_DOUBLE_EQ(batch[1], 0.0);
 
   // One sample: min == max == the value, so every quantile clamps to it
   // exactly — no bucket rounding visible.
@@ -315,22 +315,6 @@ TEST_F(TelemetryTest, HistogramQuantileAllSamplesInOneBucket) {
   for (double q : {0.0, 0.5, 0.99, 1.0}) {
     EXPECT_DOUBLE_EQ(h->ApproxQuantileSeconds(q), h->max_seconds())
         << "q=" << q;
-  }
-}
-
-TEST_F(TelemetryTest, HistogramBatchQuantilesMatchSingleCalls) {
-  // The batched walk must agree with per-quantile calls on a quiescent
-  // histogram, for unsorted and duplicate q's alike.
-  Histogram* h = GetHistogram("test.hist_q_batch");
-  for (int i = 1; i <= 300; ++i) {
-    h->Record(1e-5 * static_cast<double>(i * i % 971 + 1));
-  }
-  const std::vector<double> qs = {0.99, 0.5, 0.0, 1.0, 0.25, 0.5};
-  const auto batch = h->ApproxQuantilesSeconds(qs);
-  ASSERT_EQ(batch.size(), qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], h->ApproxQuantileSeconds(qs[i]))
-        << "q=" << qs[i];
   }
 }
 
