@@ -4,8 +4,12 @@
 Replays the request lines ci/check_serve.sh and ci/check_shard.sh send
 (a healthy 3-shard fleet; "stats" is left out because its windows carry
 timings) through dgnn_serve and dgnn_router of two build trees, and
-compares their stdout byte for byte. Use it to show that a change to
-the serving front doors leaves every response line as it was.
+compares their stdout byte for byte. The single-process session also
+runs against an int8+IVF export (probed with --nprobe=12, as
+ci/check_index.sh serves it) and an fp16 export, so every storage
+format and the quantized rerank are diffed too. Use it to show that a
+change to the serving front doors or the rankers leaves every response
+line as it was.
 
 usage: python3 ci/diff_client_traffic.py OLD_BUILD NEW_BUILD WORK_DIR
   (WORK_DIR is wiped and refilled; the inputs come from OLD_BUILD's
@@ -26,7 +30,10 @@ run(cli, "--mode=train", f"--data_dir={work}/data", "--epochs=2",
     "--batch=128", f"--params={work}/model.bin")
 for tag, snap, extra in [("a", "snap_a.bin", []), ("b", "snap_b.bin", []),
                          ("fleet", "snap.bin", ["--shards=3"]),
-                         ("fleet-v2", "snap_v2.bin", ["--shards=3"])]:
+                         ("fleet-v2", "snap_v2.bin", ["--shards=3"]),
+                         ("q8ivf", "snap_q8_ivf.bin",
+                          ["--quant=int8", "--index", "--clusters=16"]),
+                         ("f16", "snap_f16.bin", ["--quant=fp16"])]:
     run(cli, "--mode=export", f"--data_dir={work}/data",
         f"--params={work}/model.bin", f"--snapshot={work}/{snap}",
         f"--tag={tag}", *extra)
@@ -80,8 +87,9 @@ router_session = (
        {"op": "topk", "user": 3, "k": 10},
        {"op": "quit"}])
 
-def serve_stdout(build, snapshot, session):
-    p = subprocess.run([f"{build}/examples/dgnn_serve", f"--snapshot={snapshot}"],
+def serve_stdout(build, snapshot, session, *extra):
+    p = subprocess.run([f"{build}/examples/dgnn_serve", f"--snapshot={snapshot}",
+                        *extra],
                        input=lines(session), capture_output=True, text=True,
                        timeout=120)
     assert p.returncode == 0, p.stderr
@@ -118,6 +126,11 @@ for name, fn in [
          lambda b: serve_stdout(b, f"{work}/snap_a.bin", serve_session)),
         ("dgnn_serve check_shard single session",
          lambda b: serve_stdout(b, f"{work}/snap.bin", single_session)),
+        ("dgnn_serve int8+ivf single session",
+         lambda b: serve_stdout(b, f"{work}/snap_q8_ivf.bin", single_session,
+                                "--nprobe=12")),
+        ("dgnn_serve fp16 single session",
+         lambda b: serve_stdout(b, f"{work}/snap_f16.bin", single_session)),
         ("dgnn_router check_shard session", router_stdout)]:
     a = fn(old_build)
     b = fn(new_build)

@@ -53,7 +53,9 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 # assignment-scan claim); shard_router_test runs a live 3-worker fleet
 # with a multi-threaded router (scatter threads, detached hedges, probe
 # loop, concurrent shedding clients) against SocketServer's
-# per-connection threads — the widest cross-thread surface in the repo;
+# per-connection threads, and connect/close cycles that make SocketServer
+# reap ended connection threads — the widest cross-thread surface in the
+# repo;
 # shard_test covers the shard ring and slice partitioning used by it;
 # protocol_test drives a burst of concurrent backend calls through the
 # shared NDJSON protocol module.

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/json.h"
@@ -17,6 +18,8 @@ constexpr char kMagicV1[8] = {'D', 'G', 'N', 'N', 'P', 'A', 'R', '1'};
 constexpr char kMagicV2[8] = {'D', 'G', 'N', 'N', 'P', 'A', 'R', '2'};
 constexpr uint32_t kFlagHasOptimizer = 1u;
 
+using util::AppendPod;
+using util::Cursor;
 using util::Status;
 
 // `checkpoint` run-log event: one per save/load attempt, success or not,
@@ -44,36 +47,10 @@ uint64_t Fnv1a(const char* data, size_t n) {
   return h;
 }
 
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
 void AppendFloats(std::string& out, const float* data, int64_t n) {
   out.append(reinterpret_cast<const char*>(data),
              static_cast<size_t>(n) * sizeof(float));
 }
-
-// Sequential reader over the in-memory file image; every Read is
-// bounds-checked so a truncated file fails cleanly instead of reading
-// past the buffer.
-struct Cursor {
-  const char* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool Read(void* out, size_t n) {
-    if (n > size - pos) return false;
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-
-  template <typename T>
-  bool ReadPod(T* value) {
-    return Read(value, sizeof(T));
-  }
-};
 
 void AppendParamRecords(std::string& out, const ParamStore& store,
                         bool with_moments) {

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "kernels/kernels.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -12,6 +13,8 @@
 namespace dgnn::index {
 namespace {
 
+using util::AppendPod;
+using util::Cursor;
 using util::Status;
 using util::StatusOr;
 
@@ -19,27 +22,6 @@ using util::StatusOr;
 // assignment is computed independently into its own slot, so results are
 // bit-identical for any thread count.
 constexpr int64_t kRowGrain = 256;
-
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-struct Cursor {
-  const char* data;
-  size_t size;
-  size_t pos = 0;
-  bool Read(void* out, size_t n) {
-    if (size - pos < n) return false;
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-  template <typename T>
-  bool ReadPod(T* out) {
-    return Read(out, sizeof(T));
-  }
-};
 
 // argmin over centroids of |x_hat - c_hat|^2, expanded to
 // half|c_hat|^2 - dot(x_hat, c_hat) (the |x_hat|^2 term is constant per
@@ -91,6 +73,25 @@ void IvfIndex::RankLists(const float* u, int nprobe,
   lists->clear();
   lists->reserve(static_cast<size_t>(probe));
   for (int i = 0; i < probe; ++i) lists->push_back(scored[i].list);
+}
+
+void IvfIndex::Probe(const float* u, int nprobe,
+                     std::vector<int32_t>* candidates) const {
+  std::vector<int32_t> lists;
+  RankLists(u, nprobe, &lists);
+  int64_t total = 0;
+  for (int32_t l : lists) {
+    total += list_offsets[static_cast<size_t>(l) + 1] -
+             list_offsets[static_cast<size_t>(l)];
+  }
+  candidates->clear();
+  candidates->reserve(static_cast<size_t>(total));
+  for (int32_t l : lists) {
+    candidates->insert(
+        candidates->end(),
+        list_items.begin() + list_offsets[static_cast<size_t>(l)],
+        list_items.begin() + list_offsets[static_cast<size_t>(l) + 1]);
+  }
 }
 
 IvfIndex BuildIvfIndex(const float* data, int64_t rows, int64_t cols,

@@ -57,6 +57,10 @@ struct IvfIndex {
   // (ties broken by lower list id). nprobe is clamped to [1, nlist].
   void RankLists(const float* u, int nprobe,
                  std::vector<int32_t>* lists) const;
+  // The candidate shortlist a query scans: the members of RankLists'
+  // `nprobe` lists, list by list in rank order.
+  void Probe(const float* u, int nprobe,
+             std::vector<int32_t>* candidates) const;
 
   // Appends the serialized index to `out` (the snapshot section payload).
   void Serialize(std::string* out) const;

@@ -116,7 +116,7 @@ void ServingEngine::Swap(std::shared_ptr<const Snapshot> snapshot) {
   state->items_view = snapshot->has_quant_items()
                           ? EmbeddingView(&snapshot->quant_items)
                           : EmbeddingView(&snapshot->items);
-  state->user_norms = ComputeRowNorms(state->users_view);
+  state->user_norms = RowNorms(state->users_view);
   if (snapshot->shard.empty()) {
     // Unsharded: global addressing is the identity over the tensors (the
     // seed-era behavior, kept independent of whatever the meta says so
@@ -177,9 +177,11 @@ std::shared_ptr<const ServingEngine::State> ServingEngine::AcquireState()
 }
 
 void ServingEngine::StampDeadline(Slot* slot) const {
-  const int64_t timeout_ms = slot->request->timeout_ms != 0
-                                 ? slot->request->timeout_ms
-                                 : config_.default_deadline_ms;
+  // Capped: a larger value would overflow the clock sum into the past.
+  const int64_t timeout_ms =
+      std::min(slot->request->timeout_ms != 0 ? slot->request->timeout_ms
+                                              : config_.default_deadline_ms,
+               kMaxDeadlineMs);
   if (timeout_ms <= 0) return;
   slot->has_deadline = true;
   slot->deadline = std::chrono::steady_clock::now() +
@@ -500,6 +502,70 @@ void ServingEngine::CountDegraded() {
   if (telemetry::Enabled()) Metrics().degraded->Add(1);
 }
 
+void ServingEngine::AnswerPopularity(const State& state, int k,
+                                     Response* resp) {
+  // Scores are raw train counts; a shard's list covers its own slice.
+  const size_t keep =
+      std::min<size_t>(static_cast<size_t>(k), state.popularity.size());
+  resp->items.assign(state.popularity.begin(),
+                     state.popularity.begin() + static_cast<int64_t>(keep));
+  resp->degraded = true;
+  CountDegraded();
+}
+
+std::vector<ScoredItem> ServingEngine::RankItems(const State& state,
+                                                 const float* query,
+                                                 int32_t seen_user, int k,
+                                                 int rerank, bool probe_ivf,
+                                                 StageTimes* stages) const {
+  const Snapshot& snap = *state.snap;
+  const int32_t item_offset = static_cast<int32_t>(state.item_offset);
+  // Seen lists hold GLOBAL ids and the scan filters by LOCAL row, so a
+  // slice that does not start at 0 shifts them.
+  static const std::vector<int32_t> kNoSeen;
+  const std::vector<int32_t>* seen = &kNoSeen;
+  std::vector<int32_t> seen_local;
+  if (seen_user >= 0) {
+    seen = &snap.seen[static_cast<size_t>(seen_user)];
+    if (item_offset != 0) {
+      seen_local.reserve(seen->size());
+      for (int32_t it : *seen) seen_local.push_back(it - item_offset);
+      seen = &seen_local;
+    }
+  }
+  std::vector<int32_t> candidates;
+  const bool use_ivf = probe_ivf && !snap.ivf.empty() && config_.nprobe > 0;
+  if (use_ivf) snap.ivf.Probe(query, config_.nprobe, &candidates);
+  std::vector<ScoredItem> items = TopKUnseen(
+      query, state.items_view, use_ivf ? &candidates : nullptr, *seen, k,
+      rerank, stages != nullptr ? &stages->compute_seconds : nullptr,
+      stages != nullptr ? &stages->rank_seconds : nullptr);
+  for (ScoredItem& s : items) s.item += item_offset;
+  return items;
+}
+
+std::vector<ScoredItem> ServingEngine::RankUsers(const State& state,
+                                                 const float* query,
+                                                 float norm,
+                                                 int64_t exclude_row, int k,
+                                                 StageTimes* stages) const {
+  // No recalibration path here; the whole cosine scan is "compute".
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point t0;
+  if (stages != nullptr) t0 = Clock::now();
+  std::vector<ScoredItem> users = TopKSimilar(
+      query, norm, state.users_view, state.user_norms, exclude_row, k);
+  if (!state.owned.empty()) {
+    for (ScoredItem& s : users) {
+      s.item = state.owned[static_cast<size_t>(s.item)];
+    }
+  }
+  if (stages != nullptr) {
+    stages->compute_seconds = Seconds(t0, Clock::now());
+  }
+  return users;
+}
+
 Response ServingEngine::Execute(const State* state, const Request& request,
                                 StageTimes* stages) {
   using Clock = std::chrono::steady_clock;
@@ -508,7 +574,6 @@ Response ServingEngine::Execute(const State* state, const Request& request,
     resp.error = "no snapshot loaded";
     return resp;
   }
-  const Snapshot& snap = *state->snap;
   resp.snapshot_version = state->version;
   // A user is "known" when it is in the global id space AND held by this
   // process (always, when unsharded; when sharded, only if owned). A
@@ -519,38 +584,18 @@ Response ServingEngine::Execute(const State* state, const Request& request,
   const int64_t local_user =
       user_in_range ? state->LocalUserRow(request.user) : -1;
   const bool known_user = local_user >= 0;
-  const int32_t item_offset = static_cast<int32_t>(state->item_offset);
-  // Sharded snapshots keep global ids in their seen lists; the dense scan
-  // filters by LOCAL row, so shift when the slice does not start at 0.
-  std::vector<int32_t> seen_local_storage;
-  auto local_seen = [&](int32_t user) -> const std::vector<int32_t>& {
-    const std::vector<int32_t>& g = snap.seen[static_cast<size_t>(user)];
-    if (item_offset == 0) return g;
-    seen_local_storage.clear();
-    seen_local_storage.reserve(g.size());
-    for (int32_t it : g) seen_local_storage.push_back(it - item_offset);
-    return seen_local_storage;
-  };
-  auto globalize_items = [&](std::vector<ScoredItem>& items) {
-    if (item_offset == 0) return;
-    for (ScoredItem& s : items) s.item += item_offset;
-  };
+  const bool ranks_k = request.type == Request::Type::kTopK ||
+                       request.type == Request::Type::kSimilarUsers ||
+                       request.type == Request::Type::kTopKPartial ||
+                       request.type == Request::Type::kSimilarPartial;
+  if (ranks_k && request.k <= 0) {
+    resp.error = "k must be positive";
+    return resp;
+  }
   switch (request.type) {
     case Request::Type::kTopK: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
       if (!known_user) {
-        // Cold/unknown user: popularity ranking (count desc, id asc),
-        // scores are raw train counts.
-        const size_t keep = std::min<size_t>(
-            static_cast<size_t>(request.k), state->popularity.size());
-        resp.items.assign(state->popularity.begin(),
-                          state->popularity.begin() +
-                              static_cast<int64_t>(keep));
-        resp.degraded = true;
-        CountDegraded();
+        AnswerPopularity(*state, request.k, &resp);
         break;
       }
       Clock::time_point t0;
@@ -559,48 +604,11 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       if (stages != nullptr) {
         stages->recal_seconds = Seconds(t0, Clock::now());
       }
-      const std::vector<int32_t>& seen = local_seen(request.user);
-      double* compute_s =
-          stages != nullptr ? &stages->compute_seconds : nullptr;
-      double* rank_s = stages != nullptr ? &stages->rank_seconds : nullptr;
-      const bool use_ivf = !snap.ivf.empty() && config_.nprobe > 0;
-      if (!use_ivf && state->items_view.dense()) {
-        // Dense brute force stays on the seed-era path — bit-identical to
-        // train::Recommender by construction.
-        resp.items = TopKUnseenItemsTimed(vec.data(), snap.items, seen,
-                                          request.k, compute_s, rank_s);
-        globalize_items(resp.items);
-        break;
-      }
-      std::vector<int32_t> candidates;
-      const std::vector<int32_t>* cand_ptr = nullptr;
-      if (use_ivf) {
-        // Rank the coarse lists against the scoring vector and gather the
-        // top-nprobe lists' members as the candidate shortlist.
-        std::vector<int32_t> lists;
-        snap.ivf.RankLists(vec.data(), config_.nprobe, &lists);
-        int64_t total = 0;
-        for (int32_t l : lists) {
-          total += snap.ivf.list_offsets[static_cast<size_t>(l) + 1] -
-                   snap.ivf.list_offsets[static_cast<size_t>(l)];
-        }
-        candidates.reserve(static_cast<size_t>(total));
-        for (int32_t l : lists) {
-          const auto b = snap.ivf.list_offsets[static_cast<size_t>(l)];
-          const auto e = snap.ivf.list_offsets[static_cast<size_t>(l) + 1];
-          candidates.insert(candidates.end(),
-                            snap.ivf.list_items.begin() + b,
-                            snap.ivf.list_items.begin() + e);
-        }
-        cand_ptr = &candidates;
-      }
       const int rerank = config_.rerank > 0
                              ? config_.rerank
                              : std::max(4 * request.k, 64);
-      resp.items =
-          TopKUnseenFromView(vec.data(), state->items_view, cand_ptr, seen,
-                             request.k, rerank, compute_s, rank_s);
-      globalize_items(resp.items);
+      resp.items = RankItems(*state, vec.data(), request.user, request.k,
+                             rerank, /*probe_ivf=*/true, stages);
       break;
     }
     case Request::Type::kScore: {
@@ -631,31 +639,16 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       break;
     }
     case Request::Type::kSimilarUsers: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
       if (!known_user) {
         resp.degraded = true;
         CountDegraded();
         break;
       }
-      // No recalibration path here; the whole cosine scan is "compute".
-      Clock::time_point t0;
-      if (stages != nullptr) t0 = Clock::now();
       std::vector<float> u(static_cast<size_t>(state->users_view.cols()));
       state->users_view.DecodeRow(local_user, u.data());
-      resp.items = SimilarUsersByCosine(static_cast<int32_t>(local_user),
-                                        u.data(), state->users_view,
-                                        state->user_norms, request.k);
-      if (!state->owned.empty()) {
-        for (ScoredItem& s : resp.items) {
-          s.item = state->owned[static_cast<size_t>(s.item)];
-        }
-      }
-      if (stages != nullptr) {
-        stages->compute_seconds = Seconds(t0, Clock::now());
-      }
+      resp.items = RankUsers(
+          *state, u.data(), state->user_norms[static_cast<size_t>(local_user)],
+          local_user, request.k, stages);
       break;
     }
     case Request::Type::kUserVector: {
@@ -672,18 +665,8 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       break;
     }
     case Request::Type::kTopKPartial: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
       if (request.popularity) {
-        const size_t keep = std::min<size_t>(
-            static_cast<size_t>(request.k), state->popularity.size());
-        resp.items.assign(state->popularity.begin(),
-                          state->popularity.begin() +
-                              static_cast<int64_t>(keep));
-        resp.degraded = true;
-        CountDegraded();
+        AnswerPopularity(*state, request.k, &resp);
         break;
       }
       if (static_cast<int64_t>(request.query.size()) !=
@@ -693,50 +676,23 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       }
       // Seen exclusion uses the GLOBAL user's list regardless of which
       // shard owns the user — same filter the single-process scan
-      // applies, restricted to this slice.
-      static const std::vector<int32_t> kNoSeen;
-      const std::vector<int32_t>* seen = &kNoSeen;
-      if (user_in_range) seen = &local_seen(request.user);
-      double* compute_s =
-          stages != nullptr ? &stages->compute_seconds : nullptr;
-      double* rank_s =
-          stages != nullptr ? &stages->rank_seconds : nullptr;
-      if (state->items_view.dense()) {
-        resp.items =
-            TopKUnseenItemsTimed(request.query.data(), snap.items, *seen,
-                                 request.k, compute_s, rank_s);
-      } else {
-        resp.items = TopKUnseenFromView(
-            request.query.data(), state->items_view, nullptr, *seen,
-            request.k, request.k, compute_s, rank_s);
-      }
-      globalize_items(resp.items);
+      // applies, restricted to this slice. The router probes no index,
+      // and reranks only the k this slice returns.
+      resp.items = RankItems(*state, request.query.data(),
+                             user_in_range ? request.user : -1, request.k,
+                             /*rerank=*/request.k, /*probe_ivf=*/false,
+                             stages);
       break;
     }
     case Request::Type::kSimilarPartial: {
-      if (request.k <= 0) {
-        resp.error = "k must be positive";
-        return resp;
-      }
       if (static_cast<int64_t>(request.query.size()) !=
           state->users_view.cols()) {
         resp.error = "query dimension mismatch";
         return resp;
       }
-      Clock::time_point t0;
-      if (stages != nullptr) t0 = Clock::now();
       // Exclude the query user's own row only if this shard holds it.
-      resp.items = SimilarUsersPartial(
-          request.query.data(), request.query_norm, state->users_view,
-          state->user_norms, known_user ? local_user : -1, request.k);
-      if (!state->owned.empty()) {
-        for (ScoredItem& s : resp.items) {
-          s.item = state->owned[static_cast<size_t>(s.item)];
-        }
-      }
-      if (stages != nullptr) {
-        stages->compute_seconds = Seconds(t0, Clock::now());
-      }
+      resp.items = RankUsers(*state, request.query.data(), request.query_norm,
+                             local_user, request.k, stages);
       break;
     }
     case Request::Type::kScoreItem: {

@@ -30,8 +30,10 @@
 //    waiting for.
 //  - Determinism. With social_alpha == 0 (the default) results are
 //    bit-identical to a direct train::Recommender over the same
-//    parameters for any thread count and any batching — both rank
-//    through serve/ranking.h.
+//    parameters for any thread count and any batching: every op, client
+//    or shard, ranks through serve/ranking.h's one top-k ranker
+//    (TopKUnseen) or one cosine ranker (TopKSimilar), whatever the
+//    storage format.
 //
 // Telemetry (when telemetry::Enabled()): counters serve.cache_hits,
 // serve.cache_misses, serve.snapshot_swaps, serve.degraded_requests,
@@ -76,6 +78,12 @@
 
 namespace dgnn::serve {
 
+// Longest deadline anything stamps, one day: keeps now() + deadline far
+// inside steady_clock's range. The client protocol refuses a longer
+// deadline_ms, and the engine and the router cap their configured
+// defaults with it.
+inline constexpr int64_t kMaxDeadlineMs = 24LL * 3600 * 1000;
+
 struct EngineConfig {
   // LRU entries for per-user scoring vectors; <= 0 disables the cache.
   int cache_capacity = 4096;
@@ -92,6 +100,7 @@ struct EngineConfig {
   // Default per-request deadline in milliseconds, stamped at admission;
   // a request still queued past its deadline fails fast with "deadline
   // exceeded". Request::timeout_ms overrides per request. <= 0 disables.
+  // Capped at kMaxDeadlineMs.
   int64_t default_deadline_ms = 0;
 
   // --- Quantized snapshots & IVF retrieval ---
@@ -363,6 +372,19 @@ class ServingEngine {
   void ExecuteBatch(const State* state, Slot** slots, size_t n);
   Response Execute(const State* state, const Request& request,
                    StageTimes* stages);
+  // The rank steps a client op shares with its shard twin. kTopK and
+  // kTopKPartial: the slice's popularity answer, and RankItems — top-k
+  // of the slice for `query` in GLOBAL ids, skipping `seen_user`'s seen
+  // items (-1 = none), probing the IVF index when `probe_ivf` and the
+  // config and snapshot allow. kSimilarUsers and kSimilarPartial:
+  // RankUsers — top-k cosine over the held users in GLOBAL ids.
+  void AnswerPopularity(const State& state, int k, Response* resp);
+  std::vector<ScoredItem> RankItems(const State& state, const float* query,
+                                    int32_t seen_user, int k, int rerank,
+                                    bool probe_ivf, StageTimes* stages) const;
+  std::vector<ScoredItem> RankUsers(const State& state, const float* query,
+                                    float norm, int64_t exclude_row, int k,
+                                    StageTimes* stages) const;
   // One sampler tick: pushes the counter/latency deltas since the
   // previous tick into windows_ as a sample of `seconds` duration.
   void SampleOnce(double seconds);

@@ -49,8 +49,6 @@
 
 namespace dgnn::serve {
 
-// One day: keeps now() + deadline far inside steady_clock's range.
-inline constexpr int64_t kMaxDeadlineMs = 24LL * 3600 * 1000;
 // {"op":"burst","n":N} starts one thread per request; N is capped here.
 inline constexpr int kMaxBurst = 256;
 

@@ -1,10 +1,17 @@
-// Shared ranking primitives for the two scoring surfaces — the in-process
-// train::Recommender and the online serve::ServingEngine. Both rank with
-// the SAME comparator and the SAME scan helpers defined here, so their
-// top-K output is bit-identical by construction (the serving acceptance
-// bar), not by coincidence of two copies staying in sync.
+// The one ranking path of both scoring surfaces — the in-process
+// train::Recommender and the online serve::ServingEngine (client ops and
+// their shard-worker twins alike). Each answer kind has exactly one
+// ranker here, over EmbeddingView (dense fp32 or quantized storage):
+//   - TopKUnseen: top-k items by inner product, over the full catalog or
+//     a candidate list (the IVF shortlist), with the quantized exact
+//     rerank;
+//   - TopKSimilar: top-k rows by cosine against a query vector and its
+//     norm, skipping one row (the query user's own);
+//   - RowNorms: the per-row L2 norms TopKSimilar divides by.
+// So every surface's top-K output is bit-identical by construction (the
+// serving acceptance bar), not by coincidence of copies staying in sync.
 //
-// Determinism: every helper scores candidates with a sequential
+// Determinism: every ranker scores candidates with a sequential
 // per-candidate dot product inside a fixed-grain ParallelFor (disjoint
 // output slots), then filters and selects serially — results are
 // bit-identical for any thread count (see src/util/thread_pool.h).
@@ -40,14 +47,6 @@ inline bool ScoreGreater(const ScoredItem& a, const ScoredItem& b) {
   return a.item < b.item;
 }
 
-// Both scoring surfaces call the same dispatched kernel, so train-time
-// and serve-time scores stay bit-identical by construction in either
-// numeric mode (deterministic: serial index order on every ISA; fast:
-// the same multi-lane FMA sum on both surfaces).
-inline float Dot(const float* a, const float* b, int64_t d) {
-  return kernels::Dot(a, b, d);
-}
-
 // Keeps the k best entries of `scored` under ScoreGreater (k clamped to
 // the candidate count), sorted descending.
 inline void SelectTopK(std::vector<ScoredItem>& scored, int k) {
@@ -59,60 +58,9 @@ inline void SelectTopK(std::vector<ScoredItem>& scored, int k) {
   scored.resize(keep);
 }
 
-// Top-k rows of `items` by dot product with `u` (length items.cols()),
-// excluding ids present in the sorted `seen` list. The *Timed variant
-// additionally reports how the call split between the parallel catalog
-// scan (`compute_seconds`) and the serial filter + select
-// (`rank_seconds`) for per-stage serving attribution; either pointer may
-// be null, and when both are null no clock is read. The arithmetic is
-// identical in both variants — timing never changes scores or order.
-inline std::vector<ScoredItem> TopKUnseenItemsTimed(
-    const float* u, const ag::Tensor& items,
-    const std::vector<int32_t>& seen, int k, double* compute_seconds,
-    double* rank_seconds) {
-  using Clock = std::chrono::steady_clock;
-  const bool timed = compute_seconds != nullptr || rank_seconds != nullptr;
-  Clock::time_point t0;
-  if (timed) t0 = Clock::now();
-  // Score the whole catalog in parallel (disjoint slots), then filter and
-  // select serially — same scores and ordering as the serial scan.
-  std::vector<float> scores(static_cast<size_t>(items.rows()));
-  util::ParallelFor(0, items.rows(), kScanGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      scores[static_cast<size_t>(i)] = Dot(u, items.row(i), items.cols());
-    }
-  });
-  Clock::time_point t1;
-  if (timed) t1 = Clock::now();
-  std::vector<ScoredItem> scored;
-  scored.reserve(static_cast<size_t>(items.rows()));
-  for (int32_t i = 0; i < items.rows(); ++i) {
-    if (std::binary_search(seen.begin(), seen.end(), i)) continue;
-    scored.push_back({i, scores[static_cast<size_t>(i)]});
-  }
-  SelectTopK(scored, k);
-  if (timed) {
-    const Clock::time_point t2 = Clock::now();
-    if (compute_seconds != nullptr) {
-      *compute_seconds = std::chrono::duration<double>(t1 - t0).count();
-    }
-    if (rank_seconds != nullptr) {
-      *rank_seconds = std::chrono::duration<double>(t2 - t1).count();
-    }
-  }
-  return scored;
-}
-
-inline std::vector<ScoredItem> TopKUnseenItems(
-    const float* u, const ag::Tensor& items,
-    const std::vector<int32_t>& seen, int k) {
-  return TopKUnseenItemsTimed(u, items, seen, k, nullptr, nullptr);
-}
-
 // Read-only view over an embedding matrix that is EITHER a dense fp32
-// tensor or a quantized section — the one type the engine's scoring paths
-// rank against, so brute-force and IVF candidate scans share code across
-// both storage formats. Non-owning; the snapshot outlives the view.
+// tensor or a quantized section — the one type every ranker scores
+// against. Non-owning; the snapshot outlives the view.
 class EmbeddingView {
  public:
   EmbeddingView() = default;
@@ -130,13 +78,38 @@ class EmbeddingView {
                                : 0;
   }
   bool dense() const { return dense_ != nullptr; }
-  const ag::Tensor* dense_tensor() const { return dense_; }
 
   // dot(u, row r) — exact for dense, approximate (codec precision) for
-  // quantized storage.
+  // quantized storage. Every surface calls the same dispatched kernel,
+  // so train-time and serve-time scores stay bit-identical in either
+  // numeric mode (deterministic: serial index order on every ISA; fast:
+  // the same multi-lane FMA sum everywhere).
   float Score(const float* u, int64_t r) const {
-    return dense_ != nullptr ? Dot(u, dense_->row(r), dense_->cols())
-                             : quant_->Dot(u, r);
+    return dense_ != nullptr
+               ? kernels::Dot(u, dense_->row(r), dense_->cols())
+               : quant_->Dot(u, r);
+  }
+
+  // out[i] = Score(u, row) for i in [b, e), where row is ids[i], or i
+  // itself when ids is null (the full catalog). The storage test runs
+  // once per call, so the per-row loop is a bare kernel call.
+  void ScoreRows(const float* u, const int32_t* ids, int64_t b, int64_t e,
+                 float* out) const {
+    if (dense_ == nullptr) {
+      for (int64_t i = b; i < e; ++i) {
+        out[i] = quant_->Dot(u, ids != nullptr ? ids[i] : i);
+      }
+      return;
+    }
+    const float* base = dense_->data();
+    const int64_t d = dense_->cols();
+    if (ids == nullptr) {
+      for (int64_t i = b; i < e; ++i) out[i] = kernels::Dot(u, base + i * d, d);
+    } else {
+      for (int64_t i = b; i < e; ++i) {
+        out[i] = kernels::Dot(u, base + ids[i] * d, d);
+      }
+    }
   }
 
   // Materializes row r as fp32 into `out` (cols() floats) — the exact
@@ -155,58 +128,66 @@ class EmbeddingView {
   const quant::QuantizedMatrix* quant_ = nullptr;
 };
 
-// Top-k unseen items scored against `view` — the storage- and
-// candidate-generic variant of TopKUnseenItemsTimed. `candidates` null
+// Top-k rows of `items` by dot product with `u` (length items.cols()),
+// excluding ids present in the sorted `seen` list. `candidates` null
 // scans the full catalog; non-null scans only those ids (the IVF
 // shortlist path). For quantized views a two-phase rank runs: the
 // (approximate) quantized scores select a shortlist of
 // max(rerank, k) survivors, whose rows are then decoded to fp32 and
 // re-scored exactly — so codec noise can demote items INTO the shortlist
 // boundary but never reorders the final top-k within it. Dense views skip
-// the rerank (their scores are already exact) and, on a full-catalog
-// scan, match TopKUnseenItemsTimed bit-for-bit.
-inline std::vector<ScoredItem> TopKUnseenFromView(
-    const float* u, const EmbeddingView& view,
+// the rerank (their scores are already exact).
+//
+// `compute_seconds` and `rank_seconds` (either may be null; when both are
+// no clock is read) receive how the call split between the parallel scan
+// and the serial filter + select (+ rerank), for per-stage serving
+// attribution. Timing never changes scores or order.
+inline std::vector<ScoredItem> TopKUnseen(
+    const float* u, const EmbeddingView& items,
     const std::vector<int32_t>* candidates,
     const std::vector<int32_t>& seen, int k, int rerank,
-    double* compute_seconds, double* rank_seconds) {
+    double* compute_seconds = nullptr, double* rank_seconds = nullptr) {
   using Clock = std::chrono::steady_clock;
   const bool timed = compute_seconds != nullptr || rank_seconds != nullptr;
   Clock::time_point t0;
   if (timed) t0 = Clock::now();
+  const int32_t* ids = candidates != nullptr ? candidates->data() : nullptr;
   const int64_t n = candidates != nullptr
                         ? static_cast<int64_t>(candidates->size())
-                        : view.rows();
+                        : items.rows();
   std::vector<float> scores(static_cast<size_t>(n));
   util::ParallelFor(0, n, kScanGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      const int64_t row =
-          candidates != nullptr ? (*candidates)[static_cast<size_t>(i)] : i;
-      scores[static_cast<size_t>(i)] = view.Score(u, row);
-    }
+    items.ScoreRows(u, ids, b, e, scores.data());
   });
   Clock::time_point t1;
   if (timed) t1 = Clock::now();
   std::vector<ScoredItem> scored;
   scored.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t item = candidates != nullptr
-                             ? (*candidates)[static_cast<size_t>(i)]
-                             : static_cast<int32_t>(i);
-    if (std::binary_search(seen.begin(), seen.end(), item)) continue;
-    scored.push_back({item, scores[static_cast<size_t>(i)]});
+  if (ids == nullptr) {
+    // Catalog ids ascend, so one merge walk over `seen` drops them.
+    auto next_seen = seen.begin();
+    for (int32_t i = 0; i < n; ++i) {
+      while (next_seen != seen.end() && *next_seen < i) ++next_seen;
+      if (next_seen != seen.end() && *next_seen == i) continue;
+      scored.push_back({i, scores[static_cast<size_t>(i)]});
+    }
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      if (std::binary_search(seen.begin(), seen.end(), ids[i])) continue;
+      scored.push_back({ids[i], scores[static_cast<size_t>(i)]});
+    }
   }
-  if (view.dense()) {
+  if (items.dense()) {
     SelectTopK(scored, k);
   } else {
     SelectTopK(scored, std::max(rerank, k));
     // Exact rerank: decode each surviving row to fp32 and re-score with
-    // the same dispatched Dot both scoring surfaces use. Serial loop —
+    // the same dispatched Dot every surface uses. Serial loop —
     // deterministic for any thread count.
-    std::vector<float> row(static_cast<size_t>(view.cols()));
+    std::vector<float> row(static_cast<size_t>(items.cols()));
     for (ScoredItem& s : scored) {
-      view.DecodeRow(s.item, row.data());
-      s.score = Dot(u, row.data(), view.cols());
+      items.DecodeRow(s.item, row.data());
+      s.score = kernels::Dot(u, row.data(), items.cols());
     }
     SelectTopK(scored, k);
   }
@@ -222,100 +203,46 @@ inline std::vector<ScoredItem> TopKUnseenFromView(
   return scored;
 }
 
-// Per-row L2 norms of `m` — precomputed once by both scoring surfaces so
-// SimilarUsers never re-derives norms inside the scan.
-inline std::vector<float> ComputeRowNorms(const ag::Tensor& m) {
-  std::vector<float> norms(static_cast<size_t>(m.rows()));
-  util::ParallelFor(0, m.rows(), kScanGrain, [&](int64_t b, int64_t e) {
-    for (int64_t r = b; r < e; ++r) {
-      const float* row = m.row(r);
-      norms[static_cast<size_t>(r)] = std::sqrt(Dot(row, row, m.cols()));
-    }
-  });
-  return norms;
+// Full-catalog, dense, exact TopKUnseen over a tensor — the offline
+// callers' spelling.
+inline std::vector<ScoredItem> TopKUnseenItems(
+    const float* u, const ag::Tensor& items,
+    const std::vector<int32_t>& seen, int k) {
+  return TopKUnseen(u, EmbeddingView(&items), nullptr, seen, k, k);
 }
 
-// View overload: dense views delegate to the tensor variant (bit-parity
-// with the seed path); quantized views decode per chunk and take the
-// norm of the decoded fp32 row, matching what the exact-rerank path
-// scores against.
-inline std::vector<float> ComputeRowNorms(const EmbeddingView& m) {
-  if (m.dense()) return ComputeRowNorms(*m.dense_tensor());
+// Per-row L2 norms of `m`, taken over the (decoded) fp32 rows the exact
+// paths score against — computed once per snapshot (or Recommender) so
+// TopKSimilar never re-derives norms inside the scan.
+inline std::vector<float> RowNorms(const EmbeddingView& m) {
   std::vector<float> norms(static_cast<size_t>(m.rows()));
   util::ParallelFor(0, m.rows(), kScanGrain, [&](int64_t b, int64_t e) {
     std::vector<float> row(static_cast<size_t>(m.cols()));
     for (int64_t r = b; r < e; ++r) {
       m.DecodeRow(r, row.data());
       norms[static_cast<size_t>(r)] =
-          std::sqrt(Dot(row.data(), row.data(), m.cols()));
+          std::sqrt(kernels::Dot(row.data(), row.data(), m.cols()));
     }
   });
   return norms;
 }
 
-// Top-k users most similar to `user` by cosine over `users` rows
-// (excluding `user` itself), with `norms` the precomputed per-row L2
-// norms from ComputeRowNorms.
-inline std::vector<ScoredItem> SimilarUsersByCosine(
-    int32_t user, const ag::Tensor& users, const std::vector<float>& norms,
-    int k) {
-  const float* u = users.row(user);
-  const float u_norm = norms[static_cast<size_t>(user)];
+// Top-k rows of `users` by cosine with the query `u`, whose norm `u_norm`
+// the caller supplies: a shard worker receives both from the user's
+// owner via the router, so every shard divides by the exact same float
+// and the scatter/gathered result merges bit-identically with the
+// single-process scan. `norms` are RowNorms(users). `exclude_row`
+// (-1 = none) skips the query user's own row when `users` holds it.
+// Returned items are ROW indices into `users`; sharded callers map them
+// to global ids.
+inline std::vector<ScoredItem> TopKSimilar(const float* u, float u_norm,
+                                           const EmbeddingView& users,
+                                           const std::vector<float>& norms,
+                                           int64_t exclude_row, int k) {
   std::vector<float> scores(static_cast<size_t>(users.rows()));
   util::ParallelFor(0, users.rows(), kScanGrain, [&](int64_t b, int64_t e) {
-    for (int64_t v = b; v < e; ++v) {
-      const float denom = u_norm * norms[static_cast<size_t>(v)];
-      scores[static_cast<size_t>(v)] =
-          denom > 1e-12f ? Dot(u, users.row(v), users.cols()) / denom : 0.0f;
-    }
-  });
-  std::vector<ScoredItem> scored;
-  scored.reserve(static_cast<size_t>(users.rows()) - 1);
-  for (int32_t v = 0; v < users.rows(); ++v) {
-    if (v == user) continue;
-    scored.push_back({v, scores[static_cast<size_t>(v)]});
-  }
-  SelectTopK(scored, k);
-  return scored;
-}
-
-// View overload: `u` is the query user's fp32 row (callers decode it
-// once), scores are quantized-or-dense dots against every other user.
-// Dense views produce the same scores as the tensor variant.
-inline std::vector<ScoredItem> SimilarUsersByCosine(
-    int32_t user, const float* u, const EmbeddingView& users,
-    const std::vector<float>& norms, int k) {
-  const float u_norm = norms[static_cast<size_t>(user)];
-  std::vector<float> scores(static_cast<size_t>(users.rows()));
-  util::ParallelFor(0, users.rows(), kScanGrain, [&](int64_t b, int64_t e) {
-    for (int64_t v = b; v < e; ++v) {
-      const float denom = u_norm * norms[static_cast<size_t>(v)];
-      scores[static_cast<size_t>(v)] =
-          denom > 1e-12f ? users.Score(u, v) / denom : 0.0f;
-    }
-  });
-  std::vector<ScoredItem> scored;
-  scored.reserve(static_cast<size_t>(users.rows()) - 1);
-  for (int32_t v = 0; v < users.rows(); ++v) {
-    if (v == user) continue;
-    scored.push_back({v, scores[static_cast<size_t>(v)]});
-  }
-  SelectTopK(scored, k);
-  return scored;
-}
-
-// Partial-scan variant for sharded serving: the query vector and its
-// precomputed norm arrive from the caller (typically another shard via
-// the router), so every shard divides by the exact same float and the
-// scatter/gathered result merges bit-identically with the single-process
-// scan. `exclude_row` (-1 = none) skips the query user's own row when
-// this view happens to hold it. Returned items are ROW indices into
-// `users`; the caller maps them to global ids.
-inline std::vector<ScoredItem> SimilarUsersPartial(
-    const float* u, float u_norm, const EmbeddingView& users,
-    const std::vector<float>& norms, int64_t exclude_row, int k) {
-  std::vector<float> scores(static_cast<size_t>(users.rows()));
-  util::ParallelFor(0, users.rows(), kScanGrain, [&](int64_t b, int64_t e) {
+    // Divides right after each dot: the division then overlaps the next
+    // row's kernel call, where a second pass over the chunk would not.
     for (int64_t v = b; v < e; ++v) {
       const float denom = u_norm * norms[static_cast<size_t>(v)];
       scores[static_cast<size_t>(v)] =

@@ -8,6 +8,7 @@
 
 #include "data/dataset.h"
 #include "train/recommender.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/json.h"
@@ -15,6 +16,8 @@
 namespace dgnn::serve {
 namespace {
 
+using util::AppendPod;
+using util::Cursor;
 using util::Status;
 using util::StatusOr;
 
@@ -32,11 +35,6 @@ uint64_t SplitMix64(uint64_t x) {
 constexpr int kVnodesPerShard = 64;
 
 // ----- serialization helpers (append to an in-memory buffer) -------------
-
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 void AppendTensor(std::string& out, const ag::Tensor& t) {
   AppendPod<int64_t>(out, t.rows());
@@ -77,24 +75,6 @@ void AppendSection(std::string& out, uint32_t id,
 }
 
 // ----- parsing helpers (cursor over the file image) ----------------------
-
-struct Cursor {
-  const char* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool Read(void* out, size_t n) {
-    if (size - pos < n) return false;
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-  template <typename T>
-  bool ReadPod(T* out) {
-    return Read(out, sizeof(T));
-  }
-  bool exhausted() const { return pos == size; }
-};
 
 Status Truncated(const std::string& where) {
   return Status::InvalidArgument("truncated snapshot: short read in " +

@@ -40,6 +40,8 @@ struct PartialResult {
   std::vector<serve::ScoredItem> items;
 };
 
+// False on a line that is not JSON or carries a number its field's type
+// cannot hold — a malformed answer, like a missing one.
 bool ParsePartial(const std::string& line, PartialResult* p) {
   auto parsed = util::ParseJson(line);
   if (!parsed.ok()) return false;
@@ -47,8 +49,11 @@ bool ParsePartial(const std::string& line, PartialResult* p) {
   p->ok = v.BoolOr("ok", false);
   p->error = v.StringOr("error", "");
   p->degraded = v.BoolOr("degraded", false);
-  p->version = static_cast<int64_t>(v.NumberOr("snapshot_version", 0));
-  p->score = static_cast<float>(v.NumberOr("score", 0.0));
+  const double version = v.NumberOr("snapshot_version", 0);
+  const double score = v.NumberOr("score", 0.0);
+  if (!FitsInt64(version) || !FitsFloat(score)) return false;
+  p->version = static_cast<int64_t>(version);
+  p->score = static_cast<float>(score);
   const JsonValue* items = v.Find("items");
   if (items != nullptr && !ParseItems(items, &p->items)) return false;
   return true;
@@ -117,6 +122,8 @@ TimePoint Router::DeadlineFor(int64_t deadline_ms) const {
   // "No deadline" is still bounded (an hour): the no-hang guarantee
   // holds even for clients that opt out of deadlines.
   if (ms <= 0) ms = 3600 * 1000;
+  // A larger value would overflow the clock sum into the past.
+  ms = std::min(ms, serve::kMaxDeadlineMs);
   return Clock::now() + std::chrono::milliseconds(ms);
 }
 
@@ -522,7 +529,9 @@ bool Router::FetchUserVector(int32_t user, TimePoint deadline,
   // popularity fallback a single process takes, not a failover.
   if (v.BoolOr("degraded", false)) return false;
   if (!ParseFloatArray(v.Find("vector"), vec) || vec->empty()) return fail();
-  *norm = static_cast<float>(v.NumberOr("norm", 0.0));
+  const double n = v.NumberOr("norm", 0.0);
+  if (!FitsFloat(n)) return fail();
+  *norm = static_cast<float>(n);
   return true;
 }
 

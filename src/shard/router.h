@@ -82,6 +82,7 @@ struct RouterConfig {
   int swap_timeout_ms = 10000;
   // Admission deadline for ops that don't carry their own deadline_ms;
   // <= 0 means "none" (internally clamped to an hour so nothing hangs).
+  // Capped at serve::kMaxDeadlineMs.
   int64_t default_deadline_ms = 0;
   // Extra attempts after the first on transient transport errors.
   int retries = 2;

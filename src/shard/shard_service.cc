@@ -203,10 +203,16 @@ bool ShardService::HandleShardOp(const JsonValue& req, const std::string& op,
     return true;
   }
   request.popularity = req.BoolOr("popularity", false);
-  request.query_norm = static_cast<float>(req.NumberOr("norm", 0.0));
+  const double norm = req.NumberOr("norm", 0.0);
+  if (!FitsFloat(norm)) {
+    *out = ErrorLine(op, "\"norm\" must be a number within float range");
+    return true;
+  }
+  request.query_norm = static_cast<float>(norm);
   const JsonValue* query = req.Find("query");
   if (query != nullptr && !ParseFloatArray(query, &request.query)) {
-    *out = ErrorLine(op, "\"query\" must be a number array");
+    *out = ErrorLine(
+        op, "\"query\" must be an array of numbers within float range");
     return true;
   }
 

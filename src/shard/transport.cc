@@ -173,19 +173,46 @@ void SocketServer::AcceptLoop() {
   while (running_.load(std::memory_order_acquire)) {
     const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Out of descriptors or memory: the pending connection stays
+        // queued; retry once live connections have had time to end.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       // Stop() shut the listener down (EBADF/EINVAL) — or something is
       // wrong enough that looping would spin; either way, exit.
       return;
     }
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (!running_.load(std::memory_order_acquire)) {
-      close(fd);
-      return;
+    std::vector<std::thread> ended;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      if (!running_.load(std::memory_order_acquire)) {
+        close(fd);
+        return;
+      }
+      ended.swap(finished_);
+      const uint64_t id = next_conn_id_++;
+      Conn& conn = conns_[id];
+      conn.fd = fd;
+      conn.thread = std::thread([this, id, fd] {
+        ConnLoop(fd);
+        EndConn(id);
+      });
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ConnLoop(fd); });
+    for (std::thread& t : ended) t.join();
   }
+}
+
+void SocketServer::EndConn(uint64_t id) {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  auto it = conns_.find(id);
+  // Closed under the lock, so Stop() never shuts down a reused fd number.
+  close(it->second.fd);
+  finished_.push_back(std::move(it->second.thread));
+  conns_.erase(it);
+  conns_cv_.notify_all();
 }
 
 void SocketServer::ConnLoop(int fd) {
@@ -232,18 +259,17 @@ void SocketServer::Stop() {
   shutdown(listen_fd_, SHUT_RDWR);
   close(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<int> fds;
-  std::vector<std::thread> threads;
+  std::vector<std::thread> ended;
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    fds.swap(conn_fds_);
-    threads.swap(conn_threads_);
+    std::unique_lock<std::mutex> lock(conns_mu_);
+    // SHUT_RD: each live connection's next read sees EOF and it ends
+    // after writing any in-progress response (graceful to in-flight
+    // requests).
+    for (const auto& entry : conns_) shutdown(entry.second.fd, SHUT_RD);
+    conns_cv_.wait(lock, [this] { return conns_.empty(); });
+    ended.swap(finished_);
   }
-  // SHUT_RD: each connection thread's next read sees EOF and exits after
-  // writing any in-progress response (graceful to in-flight requests).
-  for (int fd : fds) shutdown(fd, SHUT_RD);
-  for (auto& t : threads) t.join();
-  for (int fd : fds) close(fd);
+  for (std::thread& t : ended) t.join();
   listen_fd_ = -1;
   if (!path_.empty()) unlink(path_.c_str());
 }

@@ -18,7 +18,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,6 +65,9 @@ class ShardConn {
 // Worker side: accepts connections and runs `handler` per request line
 // on a per-connection thread. Responses must be single-line JSON (the
 // handler's result has any trailing newline stripped before framing).
+// A connection whose peer goes away closes its fd at once, and the
+// accept loop joins its thread, so a long-lived worker holds only its
+// live connections however many come and go.
 class SocketServer {
  public:
   using Handler = std::function<std::string(const std::string& line)>;
@@ -85,8 +91,17 @@ class SocketServer {
   }
 
  private:
+  struct Conn {
+    int fd = -1;
+    std::thread thread;
+  };
+
   void AcceptLoop();
+  // Serves request lines on `fd` until the peer goes away or Stop().
   void ConnLoop(int fd);
+  // The end of connection `id`'s thread: closes its fd and parks the
+  // thread in finished_ for the accept loop (or Stop) to join.
+  void EndConn(uint64_t id);
 
   std::string path_;
   Handler handler_;
@@ -94,8 +109,10 @@ class SocketServer {
   std::atomic<bool> running_{false};
   std::thread accept_thread_;
   std::mutex conns_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::condition_variable conns_cv_;  // signalled when a connection ends
+  uint64_t next_conn_id_ = 0;
+  std::map<uint64_t, Conn> conns_;    // live connections
+  std::vector<std::thread> finished_;  // ended, not yet joined
 };
 
 }  // namespace dgnn::shard

@@ -18,7 +18,7 @@ Recommender::Recommender(models::RecModel& model,
   DGNN_CHECK_EQ(items_.rows(), dataset.num_items);
   seen_ = dataset.TrainItemsByUser();
   // Precomputed once so SimilarUsers never re-derives norms per call.
-  user_norms_ = serve::ComputeRowNorms(users_);
+  user_norms_ = serve::RowNorms(serve::EmbeddingView(&users_));
 }
 
 float Recommender::Score(int32_t user, int32_t item) const {
@@ -26,7 +26,7 @@ float Recommender::Score(int32_t user, int32_t item) const {
   DGNN_CHECK_LT(user, users_.rows());
   DGNN_CHECK_GE(item, 0);
   DGNN_CHECK_LT(item, items_.rows());
-  return serve::Dot(users_.row(user), items_.row(item), users_.cols());
+  return serve::EmbeddingView(&items_).Score(users_.row(user), item);
 }
 
 std::vector<ScoredItem> Recommender::TopK(int32_t user, int k) const {
@@ -49,7 +49,10 @@ std::vector<ScoredItem> Recommender::SimilarUsers(int32_t user,
       telemetry::GetHistogram("serve.similar_users_seconds");
   telemetry::ScopedLatency record_latency(latency);
   telemetry::ScopedSpan span("similar_users", "serve");
-  return serve::SimilarUsersByCosine(user, users_, user_norms_, k);
+  return serve::TopKSimilar(users_.row(user),
+                            user_norms_[static_cast<size_t>(user)],
+                            serve::EmbeddingView(&users_), user_norms_, user,
+                            k);
 }
 
 }  // namespace dgnn::train

@@ -8,6 +8,7 @@
 #include "ag/diagnostics.h"
 #include "ag/serialize.h"
 #include "train/train_log.h"
+#include "util/bytes.h"
 #include "util/json.h"
 #include "util/run_log.h"
 #include "util/stopwatch.h"
@@ -30,24 +31,7 @@ ag::AdamConfig MakeAdamConfig(const TrainConfig& c) {
   return a;
 }
 
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-// Bounds-checked sequential reader for the trainer-state blob.
-struct BlobCursor {
-  const std::string& bytes;
-  size_t pos = 0;
-
-  template <typename T>
-  bool ReadPod(T* value) {
-    if (bytes.size() - pos < sizeof(T)) return false;
-    std::memcpy(value, bytes.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return true;
-  }
-};
+using util::AppendPod;
 
 // `run_start` event: everything needed to reproduce or interpret the run
 // — config, model, seed, parallelism, and the dataset's shape/density.
@@ -234,7 +218,7 @@ util::Status Trainer::Resume(const std::string& path) {
     return Status::FailedPrecondition(
         path + " carries no optimizer state; cannot resume training");
   }
-  BlobCursor cur{cs.trainer_state};
+  util::Cursor cur{cs.trainer_state.data(), cs.trainer_state.size()};
   uint32_t version = 0;
   if (!cur.ReadPod(&version) || version != kTrainerStateVersion) {
     return Status::InvalidArgument("unsupported trainer state version in " +

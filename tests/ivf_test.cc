@@ -45,6 +45,26 @@ std::vector<float> RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   return m;
 }
 
+// Exact reference top-k: score every row with a plain loop, sort fully
+// by ScoreGreater, drop seen ids.
+std::vector<serve::ScoredItem> NaiveTopK(const float* u,
+                                         const ag::Tensor& items,
+                                         const std::vector<int32_t>& seen,
+                                         int k) {
+  std::vector<serve::ScoredItem> all;
+  for (int32_t i = 0; i < items.rows(); ++i) {
+    all.push_back({i, kernels::Dot(u, items.row(i), items.cols())});
+  }
+  std::sort(all.begin(), all.end(), serve::ScoreGreater);
+  std::vector<serve::ScoredItem> out;
+  for (const serve::ScoredItem& s : all) {
+    if (static_cast<int>(out.size()) == k) break;
+    if (std::find(seen.begin(), seen.end(), s.item) != seen.end()) continue;
+    out.push_back(s);
+  }
+  return out;
+}
+
 index::IvfConfig SmallConfig(int32_t nlist) {
   index::IvfConfig cfg;
   cfg.nlist = nlist;
@@ -225,25 +245,28 @@ TEST_F(IvfTest, FullProbeWithFullRerankMatchesBruteForce) {
   const int k = 10;
 
   const std::vector<serve::ScoredItem> brute =
-      serve::TopKUnseenItems(u.data(), items, seen, k);
+      NaiveTopK(u.data(), items, seen, k);
+  ASSERT_EQ(brute.size(), static_cast<size_t>(k));
 
-  // Gather candidates exactly the way the engine does.
-  std::vector<int32_t> lists;
-  idx.RankLists(u.data(), idx.nlist, &lists);
-  std::vector<int32_t> candidates;
-  for (int32_t l : lists) {
-    const int64_t b = idx.list_offsets[static_cast<size_t>(l)];
-    const int64_t e = idx.list_offsets[static_cast<size_t>(l) + 1];
-    candidates.insert(candidates.end(), idx.list_items.begin() + b,
-                      idx.list_items.begin() + e);
+  // The full-catalog scan: same ids, same scores.
+  const std::vector<serve::ScoredItem> full =
+      serve::TopKUnseenItems(u.data(), items, seen, k);
+  ASSERT_EQ(full.size(), brute.size());
+  for (size_t i = 0; i < brute.size(); ++i) {
+    EXPECT_EQ(full[i].item, brute[i].item) << i;
+    EXPECT_EQ(full[i].score, brute[i].score) << i;
   }
+
+  // Gather candidates through the index, as the engine does.
+  std::vector<int32_t> candidates;
+  idx.Probe(u.data(), idx.nlist, &candidates);
   ASSERT_EQ(candidates.size(), static_cast<size_t>(rows));
 
   // Dense view over the candidate set: same ids, same scores.
   serve::EmbeddingView dense_view(&items);
   const std::vector<serve::ScoredItem> via_dense =
-      serve::TopKUnseenFromView(u.data(), dense_view, &candidates, seen, k,
-                                static_cast<int>(rows), nullptr, nullptr);
+      serve::TopKUnseen(u.data(), dense_view, &candidates, seen, k,
+                        static_cast<int>(rows));
   ASSERT_EQ(via_dense.size(), brute.size());
   for (size_t i = 0; i < brute.size(); ++i) {
     EXPECT_EQ(via_dense[i].item, brute[i].item) << i;
@@ -258,8 +281,8 @@ TEST_F(IvfTest, FullProbeWithFullRerankMatchesBruteForce) {
       quant::Quantize(data.data(), rows, cols, quant::Codec::kFp16);
   serve::EmbeddingView quant_view(&q);
   const std::vector<serve::ScoredItem> via_quant =
-      serve::TopKUnseenFromView(u.data(), quant_view, &candidates, seen, k,
-                                static_cast<int>(rows), nullptr, nullptr);
+      serve::TopKUnseen(u.data(), quant_view, &candidates, seen, k,
+                        static_cast<int>(rows));
   ASSERT_EQ(via_quant.size(), brute.size());
   for (size_t i = 0; i < brute.size(); ++i) {
     EXPECT_EQ(via_quant[i].item, brute[i].item) << i;
@@ -297,20 +320,12 @@ TEST_F(IvfTest, PartialProbeRecallIsHighOnClusteredData) {
   for (uint64_t qseed = 100; qseed < 110; ++qseed) {
     const std::vector<float> u = RandomMatrix(1, cols, qseed);
     const std::vector<serve::ScoredItem> brute =
-        serve::TopKUnseenItems(u.data(), items, seen, k);
-    std::vector<int32_t> lists;
-    idx.RankLists(u.data(), 8, &lists);
+        NaiveTopK(u.data(), items, seen, k);
     std::vector<int32_t> candidates;
-    for (int32_t l : lists) {
-      const int64_t b = idx.list_offsets[static_cast<size_t>(l)];
-      const int64_t e = idx.list_offsets[static_cast<size_t>(l) + 1];
-      candidates.insert(candidates.end(), idx.list_items.begin() + b,
-                        idx.list_items.begin() + e);
-    }
+    idx.Probe(u.data(), 8, &candidates);
     serve::EmbeddingView view(&items);
     const std::vector<serve::ScoredItem> approx =
-        serve::TopKUnseenFromView(u.data(), view, &candidates, seen, k, k,
-                                  nullptr, nullptr);
+        serve::TopKUnseen(u.data(), view, &candidates, seen, k, k);
     std::vector<int32_t> brute_ids, approx_ids;
     for (const auto& s : brute) brute_ids.push_back(s.item);
     for (const auto& s : approx) approx_ids.push_back(s.item);

@@ -205,6 +205,19 @@ TEST_F(ServeEngineTest, InvalidKIsAnErrorResponse) {
   EXPECT_NE(resp.error.find("k must be positive"), std::string::npos);
 }
 
+TEST_F(ServeEngineTest, HugeDefaultDeadlineIsCappedNotOverflowed) {
+  // 1e13 ms past now() does not fit steady_clock; uncapped, the sum
+  // wraps into the past and every request expires on arrival.
+  serve::EngineConfig config;
+  config.default_deadline_ms = 10000000000000;
+  ServingEngine engine(config);
+  engine.Swap(snapshot_);
+  const Response resp = engine.Handle(TopKRequest(0, 5));
+  EXPECT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(resp.items.size(), 5u);
+  EXPECT_EQ(engine.stats().expired_requests, 0);
+}
+
 TEST_F(ServeEngineTest, CacheHitsMissesAndSwapInvalidation) {
   telemetry::SetEnabled(true);
   telemetry::Reset();

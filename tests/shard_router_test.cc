@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -498,6 +499,75 @@ TEST_F(ShardRouterTest, WorkerDrainAbortsStagedSwap) {
   EXPECT_EQ(workers_[0]->engine->swap_count(), 1);
 }
 
+TEST_F(ShardRouterTest, HugeDefaultDeadlineIsCappedNotOverflowed) {
+  // 1e13 ms past now() does not fit steady_clock; uncapped, the sum
+  // wraps into the past and every op is refused on arrival.
+  shard::RouterConfig c = FastConfig();
+  c.default_deadline_ms = 10000000000000;
+  StartRouter(std::move(c));
+  const Response got = router_->TopK(0, 5);
+  ASSERT_TRUE(got.ok) << got.error;
+  ExpectBitIdentical(SingleTopK(0, 5), got);
+}
+
+// `line` with the value after the first "key": replaced by `value`.
+std::string WithValue(std::string line, const std::string& key,
+                      const std::string& value) {
+  const size_t at = line.find("\"" + key + "\":");
+  if (at == std::string::npos) return line;
+  const size_t begin = at + key.size() + 3;
+  const size_t end = line.find_first_of(",}", begin);
+  return line.replace(begin, end - begin, value);
+}
+
+TEST_F(ShardRouterTest, OutOfRangeNumbersFromAShardAreMalformed) {
+  // Worker 2 answers with numbers its fields' types cannot hold; the
+  // router must count that shard missing, not narrow them.
+  struct Mangle {
+    const char* op;
+    const char* key;
+    const char* value;
+  };
+  const Mangle kCases[] = {
+      {"topk_partial", "snapshot_version", "1e300"},
+      {"topk_partial", "item", "1e10"},
+      {"topk_partial", "score", "1e300"},
+      {"user_vector", "norm", "1e300"},
+  };
+  std::atomic<const Mangle*> mangle{nullptr};
+  Worker& w = *workers_[2];
+  w.Kill();
+  w.server = std::make_unique<shard::SocketServer>();
+  ASSERT_TRUE(w.server
+                  ->Start(w.socket_path,
+                          [&](const std::string& line) {
+                            std::string resp = w.service->HandleLine(line);
+                            const Mangle* m = mangle.load();
+                            if (m != nullptr &&
+                                line.find(m->op) != std::string::npos) {
+                              resp = WithValue(resp, m->key, m->value);
+                            }
+                            return resp;
+                          })
+                  .ok());
+  StartRouter(FastConfig());
+  const int32_t item_user = UserOwnedBy(0);
+  ExpectBitIdentical(SingleTopK(item_user, 10), router_->TopK(item_user, 10));
+  for (const Mangle& m : kCases) {
+    mangle.store(&m);
+    // A corrupt partial loses shard 2's slice; a corrupt vector loses
+    // the user's owner, shard 2, and fails over to popularity.
+    const bool vector = std::string(m.op) == "user_vector";
+    const Response got = router_->TopK(vector ? UserOwnedBy(2) : item_user, 10);
+    ASSERT_TRUE(got.ok) << m.key << ": " << got.error;
+    EXPECT_TRUE(got.degraded) << m.key;
+    EXPECT_EQ(got.missing_shards, std::vector<int32_t>({2})) << m.key;
+  }
+  // Nothing may call the handler once `mangle` is gone.
+  router_.reset();
+  w.Kill();
+}
+
 TEST_F(ShardRouterTest, WorkerSocketRefusesPlainSwapAndOutOfRangeFields) {
   shard::ShardService& service = *workers_[0]->service;
   // A worker changes snapshots only through the two-phase ops.
@@ -513,11 +583,76 @@ TEST_F(ShardRouterTest, WorkerSocketRefusesPlainSwapAndOutOfRangeFields) {
       R"({"ok":false,"op":"topk_partial","error":"\"k\" must be in )"
       R"([-2147483648, 2147483647]"})");
   EXPECT_EQ(workers_[0]->engine->stats().requests, 0);
+  // So are numbers a float cannot hold: narrowed, they would become inf
+  // and print as a score of 0.
+  std::string query = "[1e300";
+  std::string ok_query = "[0.5";
+  for (int64_t c = 1; c < full_.users.cols(); ++c) {
+    query += ",0.5";
+    ok_query += ",0.5";
+  }
+  query += "]";
+  ok_query += "]";
+  EXPECT_EQ(service.HandleLine(R"({"op":"score_item","item":1,"query":)" +
+                               query + "}"),
+            R"({"ok":false,"op":"score_item","error":"\"query\" must be an )"
+            R"(array of numbers within float range"})");
+  EXPECT_EQ(service.HandleLine(
+                R"({"op":"similar_partial","k":3,"norm":1e300,"query":)" +
+                ok_query + "}"),
+            R"({"ok":false,"op":"similar_partial","error":"\"norm\" must )"
+            R"(be a number within float range"})");
+  EXPECT_EQ(workers_[0]->engine->stats().requests, 0);
   // The client ops answer through the shared protocol module.
   const std::string topk =
       service.HandleLine(R"({"op":"topk","user":-1,"k":2})");
   EXPECT_EQ(topk.rfind(R"({"ok":true,"op":"topk","user":-1,)", 0), 0u)
       << topk;
+}
+
+// ----- transport ------------------------------------------------------------
+
+size_t OpenFds() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(SocketServerTest, EndedConnectionsGiveBackTheirFds) {
+  const std::string path = TestPath("fd_reclaim.sock");
+  shard::SocketServer server;
+  ASSERT_TRUE(
+      server.Start(path, [](const std::string& line) { return line; }).ok());
+  const size_t baseline = OpenFds();
+  const auto call_deadline = [] {
+    return std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  };
+  for (int i = 0; i < 64; ++i) {
+    auto conn = shard::ShardConn::Connect(path, 1000);
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    auto reply = conn.value()->Call(R"({"op":"probe"})", call_deadline());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value(), R"({"op":"probe"})");
+  }  // the client side closes each connection here
+  // The worker side closes once its thread reads EOF.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t open = OpenFds();
+  while (open > baseline && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    open = OpenFds();
+  }
+  EXPECT_EQ(open, baseline);
+  // Stop() still wakes a live connection and waits for it.
+  auto live = shard::ShardConn::Connect(path, 1000);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live.value()->Call(R"({"op":"probe"})", call_deadline()).ok());
+  server.Stop();
+  EXPECT_FALSE(live.value()->Call(R"({"op":"probe"})", call_deadline()).ok());
 }
 
 // ----- stats ----------------------------------------------------------------
