@@ -27,7 +27,7 @@
 //   --cache=4096                       engine LRU capacity (0 disables)
 //   --social-alpha=0                   serve-time social recalibration
 //   --hot-fraction=0.8                 share of traffic on 1/8 of users
-//   --max-queue=0 --deadline-ms=0      engine overload / deadline config
+//   --max-inflight=0 --deadline-ms=0   engine overload / deadline config
 //   quantization & retrieval (README "Quantization & retrieval index"):
 //     --quant=none|int8|fp16           embedding storage in the snapshot
 //     --index[=1] --clusters=N         attach an IVF index at export
@@ -260,7 +260,8 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("cache", 4096));
   engine_config.social_alpha =
       static_cast<float>(flags.GetDouble("social-alpha", 0.0));
-  engine_config.max_queue = static_cast<int>(flags.GetInt("max-queue", 0));
+  engine_config.max_inflight =
+      static_cast<int>(flags.GetInt("max-inflight", 0));
   engine_config.default_deadline_ms = flags.GetInt("deadline-ms", 0);
   engine_config.nprobe = static_cast<int>(flags.GetInt("nprobe", 0));
   engine_config.rerank = static_cast<int>(flags.GetInt("rerank", 0));
@@ -465,12 +466,12 @@ int main(int argc, char** argv) {
   std::printf(
       "serving load test (open loop): %s (%d users, %d items, dim "
       "%lld), k=%d, arrival=%s, %lld requests/point, workers=%d, "
-      "max_queue=%d, deadline_ms=%lld\n\n",
+      "max_inflight=%d, deadline_ms=%lld\n\n",
       dataset.name.c_str(), dataset.num_users, dataset.num_items,
       (long long)zoo.embedding_dim, k,
       serve::ArrivalProcessName(schedule.arrival),
       (long long)schedule.num_requests, replay_config.workers,
-      engine_config.max_queue,
+      engine_config.max_inflight,
       (long long)engine_config.default_deadline_ms);
 
   util::Table table({"target_qps", "requests", "achieved_qps", "p50_ms",

@@ -20,7 +20,7 @@
 #   6. bench_serve_load runs one small open-loop point and must report
 #      qps and p50/p95/p99 columns.
 #   7. Overload control, on a FRESH server instance so the exact-count
-#      stats assertions above stay untouched: with --max-queue small and
+#      stats assertions above stay untouched: with --max-inflight small and
 #      a DGNN_FAILPOINTS="serve.execute=delay:..." slowdown, a burst of
 #      concurrent requests must be partially SHED (fast "overloaded"
 #      errors, never a hang); a burst with a tiny deadline_ms must
@@ -163,14 +163,14 @@ EOF
 
 # ---- overload control: shedding, deadlines, graceful SIGTERM drain --------
 # Fresh server instance: a slow execute (injected via failpoint) plus a
-# small admission queue forces load shedding under a concurrent burst.
+# small in-flight bound forces load shedding under a concurrent burst.
 python3 - "$SERVE" "$WORK_DIR" <<'EOF'
 import json, os, signal, subprocess, sys
 
 serve, work = sys.argv[1], sys.argv[2]
 env = dict(os.environ, DGNN_FAILPOINTS="serve.execute=delay:60")
 proc = subprocess.Popen(
-    [serve, f"--snapshot={work}/snap_a.bin", "--max-queue=2",
+    [serve, f"--snapshot={work}/snap_a.bin", "--max-inflight=2",
      f"--run-log={work}/serve_overload.jsonl"],
     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
 
@@ -181,9 +181,9 @@ def ask(obj):
     assert line, f"no response for {obj} (server died?)"
     return json.loads(line)
 
-# Burst of 32 concurrent requests against a 60ms execute and a 2-slot
-# queue: one leader + at most a couple of followers get in, the rest must
-# be shed immediately instead of queuing unboundedly.
+# Burst of 32 concurrent requests against a 60ms execute and a bound of
+# 2 in flight: two get in at a time, the rest must be shed immediately
+# instead of waiting unboundedly.
 r = ask({"op": "burst", "n": 32, "user": 3, "k": 5})
 assert r["ok"], r
 assert r["completed"] >= 1, f"no request completed: {r}"
@@ -192,8 +192,9 @@ assert r["failed"] == 0, r
 assert r["completed"] + r["shed"] + r["expired"] == 32, r
 shed_so_far = r["shed"]
 
-# Tiny per-request deadline: followers queued behind the slow leader
-# batch expire ("deadline exceeded") instead of burning execute capacity.
+# Tiny per-request deadline: admitted requests held past it by the slow
+# pre-execution stall expire ("deadline exceeded") instead of burning
+# execute capacity.
 r = ask({"op": "burst", "n": 32, "user": 3, "k": 5, "deadline_ms": 5})
 assert r["ok"], r
 assert r["expired"] >= 1, f"no deadline expiry under overload: {r}"
@@ -205,7 +206,7 @@ assert r["ok"] and r["shed_requests"] >= shed_so_far, r
 assert r["expired_requests"] >= 1, r
 
 # Graceful drain: SIGTERM interrupts the blocking stdin read, in-flight
-# batches finish, serve_end is written with reason=signal, exit code 0.
+# requests finish, serve_end is written with reason=signal, exit code 0.
 proc.send_signal(signal.SIGTERM)
 rc = proc.wait(timeout=30)
 assert rc == 0, f"SIGTERM drain exited {rc}, want 0"
@@ -222,9 +223,11 @@ EOF
 
 # ---- load bench smoke: must report qps and tail latencies -----------------
 BENCH_OUT="$("$BENCH" --preset=tiny --arrival=poisson --qps=200 --requests=64)"
-echo "$BENCH_OUT" | grep -q "qps" || {
+# Here-strings, not `echo | grep -q`: under pipefail, grep -q exiting on
+# its first match can SIGPIPE the echo and fail a passing check.
+grep -q "qps" <<< "$BENCH_OUT" || {
   echo "check_serve: bench output missing qps column" >&2; exit 1; }
-echo "$BENCH_OUT" | grep -q "p99_ms" || {
+grep -q "p99_ms" <<< "$BENCH_OUT" || {
   echo "check_serve: bench output missing p99 column" >&2; exit 1; }
 echo "check_serve: load bench OK"
 

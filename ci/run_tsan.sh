@@ -36,9 +36,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 # run-log writer from 8 threads (every line must stay valid JSON);
 # diagnostics_test covers the check-numerics flag read by every tape op;
 # serve_engine_test runs hot snapshot swaps under 8 concurrent reader
-# threads plus the micro-batching leader/follower handoff; failpoint_test
-# hammers the injection registry from concurrent threads (the 1in<n>
-# determinism contract is exactly a race-freedom claim); resume_test
+# threads plus concurrent callers against the in-flight bound;
+# failpoint_test hammers the injection registry from concurrent threads
+# (the 1in<n> determinism contract is exactly a race-freedom claim);
+# resume_test
 # checks kill/resume bit-identity across thread counts; serve_trace_test
 # replays the same trace at 1/2/4 workers and requires the re-recorded
 # bytes bit-identical (open-loop replay race-freedom claim);
@@ -51,11 +52,11 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 # and forced ISAs; ivf_test runs k-means index builds at thread counts
 # 1/7 and requires bit-identical serialized bytes (the disjoint-slot
 # assignment-scan claim); shard_router_test runs a live 3-worker fleet
-# with a multi-threaded router (scatter threads, detached hedges, probe
-# loop, concurrent shedding clients) against SocketServer's
-# per-connection threads, and connect/close cycles that make SocketServer
-# reap ended connection threads — the widest cross-thread surface in the
-# repo;
+# with a multi-threaded router (the probe loop, concurrent shedding
+# clients, each dispatching and hedging on its own thread) against
+# SocketServer's per-connection threads, and connect/close cycles that
+# make SocketServer reap ended connection threads — the widest
+# cross-thread surface in the repo;
 # shard_test covers the shard ring and slice partitioning used by it;
 # protocol_test drives a burst of concurrent backend calls through the
 # shared NDJSON protocol module.

@@ -25,7 +25,8 @@
 // when EVERY shard is unreachable does an op return ok=false.
 //
 // Robustness knobs: --retries=N (transient transport errors, capped
-// backoff), --hedge-ms=T (hedged second attempt for stragglers),
+// backoff), --hedge-ms=T (a second connection to a shard that has
+// neither answered nor failed after T ms; first answer wins),
 // --deadline-ms=T (admission deadline, propagated minus elapsed time to
 // each shard), --shard-timeout-ms=T (per-attempt budget),
 // --max-inflight=N (fleet-wide shedding, "overloaded" like dgnn_serve).
@@ -33,8 +34,8 @@
 // per-shard healthy/degraded/down state machine shown by "stats".
 //
 // SIGTERM/SIGINT drain: the blocking stdin read is interrupted; the
-// router waits for every in-flight scatter/gather (hedged stragglers
-// included) before emitting serve_end to --run-log and exiting 0.
+// router waits for every in-flight op (an op leaves nothing running
+// behind it) before emitting serve_end to --run-log and exiting 0.
 //
 // --replay-trace=F [--workers=N] [--bench-json=OUT] replays a recorded
 // request trace (serve/trace.h) open-loop through the router instead of
@@ -285,8 +286,8 @@ int main(int argc, char** argv) {
     exit_reason = serve::ServeLines(backend, std::cin, std::cout);
   }
 
-  // Drain: wait out every in-flight scatter/gather and straggling hedge
-  // before reporting totals — serve_end must describe a finished fleet.
+  // Drain: wait out every in-flight op before reporting totals —
+  // serve_end must describe a finished fleet.
   router.BeginDrain();
   const shard::RouterCounters c = router.counters();
   if (runlog::Active()) {

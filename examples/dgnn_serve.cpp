@@ -10,7 +10,7 @@
 //   {"op":"stats","format":"prom"}         Prometheus text (in "text")
 //   {"op":"burst","n":64,"user":3,"k":10}  fire n (<= 256) concurrent topk
 //                                          calls
-// "burst" is the way to exercise --max-queue load shedding from a
+// "burst" is the way to exercise --max-inflight load shedding from a
 // scripted client; it reports {"completed":..,"shed":..,"expired":..,
 // "failed":..}. Successful scoring responses carry "degraded" (true when
 // an unknown/cold user fell back to the popularity ranking) and
@@ -23,12 +23,13 @@
 // its current snapshot and reports the error in-band.
 //
 // SIGTERM/SIGINT drain gracefully: the blocking stdin read is
-// interrupted, in-flight micro-batches finish (Handle calls are
-// synchronous), serve_end is emitted with reason=signal, metrics/trace/
-// run-log flush, and the process exits 0.
+// interrupted, in-flight requests finish (each Handle call runs its
+// request to completion on the calling thread), serve_end is emitted
+// with reason=signal, metrics/trace/run-log flush, and the process
+// exits 0.
 //
 // Flags: --snapshot=F (required), --threads=N, --cache=N,
-// --social-alpha=A, --max-queue=N, --deadline-ms=T, --metrics-out=F,
+// --social-alpha=A, --max-inflight=N, --deadline-ms=T, --metrics-out=F,
 // --trace-out=F, --run-log=F.
 //
 // Quantized snapshots (int8/fp16 embedding sections) load transparently.
@@ -282,7 +283,7 @@ int main(int argc, char** argv) {
   if (snapshot_path.empty()) {
     std::fprintf(stderr,
                  "usage: dgnn_serve --snapshot=FILE [--threads=N] "
-                 "[--cache=N] [--social-alpha=A] [--max-queue=N] "
+                 "[--cache=N] [--social-alpha=A] [--max-inflight=N] "
                  "[--deadline-ms=T] [--metrics-out=F] "
                  "[--metrics-flush-every-s=S] [--trace-out=F] "
                  "[--run-log=F] [--stats-out=F] [--stats-every-s=S] "
@@ -322,7 +323,7 @@ int main(int argc, char** argv) {
   config.cache_capacity = static_cast<int>(flags.GetInt("cache", 4096));
   config.social_alpha =
       static_cast<float>(flags.GetDouble("social-alpha", 0.0));
-  config.max_queue = static_cast<int>(flags.GetInt("max-queue", 0));
+  config.max_inflight = static_cast<int>(flags.GetInt("max-inflight", 0));
   config.default_deadline_ms = flags.GetInt("deadline-ms", 0);
   // The windowed sampler always runs in server mode: a long-lived server
   // is exactly what rolling windows are for, and a 1 Hz tick is
@@ -406,7 +407,7 @@ int main(int argc, char** argv) {
         .Set("dim", snap->meta.embedding_dim)
         .Set("cache_capacity", static_cast<int64_t>(config.cache_capacity))
         .Set("social_alpha", static_cast<double>(config.social_alpha))
-        .Set("max_queue", static_cast<int64_t>(config.max_queue))
+        .Set("max_inflight", static_cast<int64_t>(config.max_inflight))
         .Set("deadline_ms", config.default_deadline_ms)
         .Set("storage", storage)
         .Set("nprobe", static_cast<int64_t>(config.nprobe))
@@ -468,7 +469,7 @@ int main(int argc, char** argv) {
   const char* exit_reason = serve::ServeLines(backend, std::cin, std::cout);
 
   // Drain path: Handle calls are synchronous, so reaching this point means
-  // every admitted micro-batch has completed. Flush every observability
+  // every admitted request has completed. Flush every observability
   // output FIRST — metrics, chrome trace, the final stats snapshot and
   // the request log — and only then emit serve_end: if any flush here
   // crashes or is cut short, the run log's missing serve_end says so,

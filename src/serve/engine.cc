@@ -5,7 +5,6 @@
 
 #include "util/failpoint.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace dgnn::serve {
 namespace {
@@ -194,14 +193,16 @@ bool ServingEngine::Observing() const {
          has_sink_.load(std::memory_order_relaxed);
 }
 
-void ServingEngine::AdmitSlot(Slot* slot) {
-  slot->trace_id =
-      next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  slot->stages.active = Observing();
-  if (slot->stages.active) {
-    slot->stages.admit = std::chrono::steady_clock::now();
+bool ServingEngine::Enter() {
+  int64_t n = inflight_.load(std::memory_order_relaxed);
+  do {
+    if (config_.max_inflight > 0 && n >= config_.max_inflight) return false;
+  } while (!inflight_.compare_exchange_weak(n, n + 1,
+                                            std::memory_order_relaxed));
+  if (telemetry::Enabled()) {
+    Metrics().queue_depth->Set(static_cast<double>(n + 1));
   }
-  StampDeadline(slot);
+  return true;
 }
 
 void ServingEngine::FinishSlot(Slot* slot) {
@@ -242,7 +243,6 @@ void ServingEngine::FinishSlot(Slot* slot) {
     }
     t.user = slot->request->user;
     t.k = slot->request->k;
-    t.batch_size = slot->batch_size;
     t.snapshot_version = slot->response.snapshot_version;
     t.degraded = slot->response.degraded;
     t.queue_seconds = queue_s;
@@ -259,163 +259,74 @@ void ServingEngine::FinishSlot(Slot* slot) {
 Response ServingEngine::Handle(const Request& request) {
   Slot slot;
   slot.request = &request;
-  AdmitSlot(&slot);
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  if (leader_active_) {
-    // Load shedding: a full follower queue means the leader is already
-    // saturated; refusing NOW costs the client one fast round-trip,
-    // while queueing would cost every queued request unbounded latency.
-    if (config_.max_queue > 0 &&
-        queue_.size() >= static_cast<size_t>(config_.max_queue)) {
-      lock.unlock();
-      n_shed_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) Metrics().shed->Add(1);
-      slot.outcome = Outcome::kShed;
-      slot.response = Response{};
-      slot.response.error = "overloaded";
-      FinishSlot(&slot);
-      return std::move(slot.response);
-    }
-    queue_.push_back(&slot);
-    if (telemetry::Enabled()) {
-      Metrics().queue_depth->Set(static_cast<double>(queue_.size()));
-    }
-    // A leader is already draining the queue; it will execute our slot
-    // in one of its batches. Wait for completion.
-    batch_cv_.wait(lock, [&] { return slot.done; });
-    lock.unlock();
+  slot.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  slot.stages.active = Observing();
+  if (slot.stages.active) slot.stages.admit = std::chrono::steady_clock::now();
+  StampDeadline(&slot);
+  if (!Enter()) {
+    // Load shedding: max_inflight requests already hold the engine;
+    // refusing NOW costs the client one fast round-trip.
+    n_shed_.fetch_add(1, std::memory_order_relaxed);
+    if (telemetry::Enabled()) Metrics().shed->Add(1);
+    slot.outcome = Outcome::kShed;
+    slot.response.error = "overloaded";
     FinishSlot(&slot);
     return std::move(slot.response);
   }
-  queue_.push_back(&slot);
-  // Become the leader: repeatedly swap out whatever has queued up
-  // (including our own slot) and execute it as one parallel batch.
-  // Requests arriving meanwhile queue behind us and form the next batch —
-  // micro-batching driven purely by concurrency, no timers.
-  leader_active_ = true;
-  while (!queue_.empty()) {
-    std::vector<Slot*> batch;
-    batch.swap(queue_);
-    if (telemetry::Enabled()) Metrics().queue_depth->Set(0.0);
-    lock.unlock();
-    auto state = AcquireState();
-    ExecuteBatch(state.get(), batch.data(), batch.size());
-    lock.lock();
-    for (Slot* s : batch) s->done = true;
-    batch_cv_.notify_all();
+  n_requests_.fetch_add(1, std::memory_order_relaxed);
+  if (telemetry::Enabled()) {
+    Metrics().requests->Add(1);
+    Metrics().batches->Add(1);
   }
-  leader_active_ = false;
-  lock.unlock();
-  // The leader's own reply stage covers the full drain (its caller does
-  // not get the response until every batch it led has completed).
+  ExecuteSlot(AcquireState().get(), &slot);
+  const int64_t left = inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  if (telemetry::Enabled()) {
+    Metrics().queue_depth->Set(static_cast<double>(left));
+  }
   FinishSlot(&slot);
   return std::move(slot.response);
 }
 
-std::vector<Response> ServingEngine::HandleBatch(
-    const std::vector<Request>& requests) {
-  auto state = AcquireState();
-  std::vector<Slot> slots(requests.size());
-  std::vector<Slot*> ptrs(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    slots[i].request = &requests[i];
-    AdmitSlot(&slots[i]);
-    ptrs[i] = &slots[i];
-  }
-  ExecuteBatch(state.get(), ptrs.data(), ptrs.size());
-  std::vector<Response> out;
-  out.reserve(slots.size());
-  for (Slot& s : slots) {
-    FinishSlot(&s);
-    out.push_back(std::move(s.response));
-  }
-  return out;
-}
-
-void ServingEngine::ExecuteBatch(const State* state, Slot** slots,
-                                 size_t n) {
-  if (n == 0) return;
-  n_requests_.fetch_add(static_cast<int64_t>(n),
-                        std::memory_order_relaxed);
-  n_batches_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) {
-    Metrics().requests->Add(static_cast<int64_t>(n));
-    Metrics().batches->Add(1);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    slots[i]->batch_size = static_cast<int>(n);
-  }
-  // Failpoint "serve.execute": `delay:<ms>` simulates a slow batch (the
-  // overload tests use it to back up the follower queue); `error` fails
-  // the whole batch the way a poisoned snapshot would. The delay runs
-  // BEFORE the exec_start stamp below, so injected stalls are attributed
-  // to the queue stage — exactly where a real pre-batch stall would land.
+void ServingEngine::ExecuteSlot(const State* state, Slot* slot) {
+  // Failpoint "serve.execute": `delay:<ms>` simulates a slow execution
+  // (the overload tests use it to hold in-flight places); `error` fails
+  // the request the way a poisoned snapshot would. The delay runs BEFORE
+  // the exec_start stamp below, so injected stalls are attributed to the
+  // queue stage — exactly where a real pre-execution stall would land.
   if (failpoint::Enabled()) {
     util::Status fp = failpoint::Check("serve.execute");
     if (!fp.ok()) {
-      const auto t_fail = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < n; ++i) {
-        slots[i]->response = Response{};
-        slots[i]->response.error = fp.ToString();
-        slots[i]->outcome = Outcome::kFailed;
-        if (slots[i]->stages.active) {
-          slots[i]->stages.exec_start = t_fail;
-          slots[i]->stages.exec_end = t_fail;
-        }
+      slot->response.error = fp.ToString();
+      slot->outcome = Outcome::kFailed;
+      if (slot->stages.active) {
+        slot->stages.exec_start = std::chrono::steady_clock::now();
+        slot->stages.exec_end = slot->stages.exec_start;
       }
-      n_failed_.fetch_add(static_cast<int64_t>(n),
-                          std::memory_order_relaxed);
-      if (telemetry::Enabled()) {
-        Metrics().failed->Add(static_cast<int64_t>(n));
-      }
+      n_failed_.fetch_add(1, std::memory_order_relaxed);
+      if (telemetry::Enabled()) Metrics().failed->Add(1);
       return;
     }
   }
-  // Requests that outlived their deadline while queued fail fast; the
-  // client has typically already given up, so executing them only delays
-  // the live ones behind them.
   const auto now = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < n; ++i) {
-    if (slots[i]->stages.active) slots[i]->stages.exec_start = now;
-  }
-  auto expired = [&](const Slot* s) {
-    return s->has_deadline && now > s->deadline;
-  };
-  auto expire = [&](Slot* s) {
-    s->response = Response{};
-    s->response.error = "deadline exceeded";
-    s->outcome = Outcome::kExpired;
+  if (slot->stages.active) slot->stages.exec_start = now;
+  if (slot->has_deadline && now > slot->deadline) {
+    // The client has typically already given up; fail fast.
+    slot->response.error = "deadline exceeded";
+    slot->outcome = Outcome::kExpired;
     n_expired_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::Enabled()) Metrics().expired->Add(1);
-  };
-  auto run_one = [&](Slot* s) {
-    if (expired(s)) {
-      expire(s);
-    } else {
-      s->response = Execute(state, *s->request,
-                            s->stages.active ? &s->stages : nullptr);
-      s->outcome = s->response.ok ? Outcome::kOk : Outcome::kFailed;
-      if (!s->response.ok) {
-        n_failed_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry::Enabled()) Metrics().failed->Add(1);
-      }
+  } else {
+    slot->response = Execute(state, *slot->request,
+                             slot->stages.active ? &slot->stages : nullptr);
+    slot->outcome = slot->response.ok ? Outcome::kOk : Outcome::kFailed;
+    if (!slot->response.ok) {
+      n_failed_.fetch_add(1, std::memory_order_relaxed);
+      if (telemetry::Enabled()) Metrics().failed->Add(1);
     }
-    if (s->stages.active) {
-      s->stages.exec_end = std::chrono::steady_clock::now();
-    }
-  };
-  if (n == 1) {
-    run_one(slots[0]);
-    return;
   }
-  // Responses land in disjoint slots; per-request work is independent, so
-  // results are identical whether the batch runs serially or fanned out
-  // (inner ranking ParallelFors degrade to serial when nested — same
-  // chunk boundaries, same arithmetic).
-  util::ParallelFor(0, static_cast<int64_t>(n), 1,
-                    [&](int64_t b, int64_t e) {
-                      for (int64_t i = b; i < e; ++i) run_one(slots[i]);
-                    });
+  if (slot->stages.active) {
+    slot->stages.exec_end = std::chrono::steady_clock::now();
+  }
 }
 
 std::vector<float> ServingEngine::ComputeUserVector(const State& state,
@@ -725,7 +636,7 @@ Response ServingEngine::Execute(const State* state, const Request& request,
 EngineStats ServingEngine::stats() const {
   EngineStats s;
   s.requests = n_requests_.load(std::memory_order_relaxed);
-  s.batches = n_batches_.load(std::memory_order_relaxed);
+  s.batches = s.requests;
   s.cache_hits = n_cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = n_cache_misses_.load(std::memory_order_relaxed);
   s.snapshot_swaps = swap_count_.load(std::memory_order_relaxed);
@@ -808,10 +719,7 @@ void ServingEngine::SampleOnce(double seconds) {
   smp.cache_hits = hits - cursor_.cache_hits;
   smp.cache_misses = misses - cursor_.cache_misses;
   smp.latency = e2e_hist_.SnapshotDelta(&cursor_.latency);
-  {
-    std::lock_guard<std::mutex> qlock(batch_mu_);
-    smp.queue_depth = static_cast<int64_t>(queue_.size());
-  }
+  smp.queue_depth = inflight_.load(std::memory_order_relaxed);
   cursor_.requests = requests;
   cursor_.shed = shed;
   cursor_.expired = expired;

@@ -8,11 +8,11 @@
 //    shared_ptr that Swap()/Load() replace atomically; in-flight
 //    requests finish on the snapshot they started with, new requests see
 //    the new one. Nothing blocks on a swap.
-//  - Micro-batching. Handle() coalesces requests that arrive while a
-//    batch is being executed: the first caller becomes the batch leader
-//    and drains the queue through the shared util::ThreadPool; followers
-//    wait for their slot to complete. Under concurrent load this turns N
-//    single-request calls into a few parallel batches with no timers.
+//  - One concurrency rule. The thread that calls Handle() admits,
+//    executes and finishes its own request and leaves nothing of it
+//    running; concurrent callers run side by side (each ranking scan
+//    goes through the shared util::ThreadPool, or runs serially on the
+//    caller while another region holds the pool).
 //  - LRU cache of the per-user scoring vector (the social-recalibrated
 //    user embedding when social_alpha > 0, the raw row otherwise),
 //    invalidated wholesale on snapshot swap.
@@ -20,17 +20,15 @@
 //    (train interaction counts from the snapshot) instead of an error;
 //    responses carry a `degraded` flag. Malformed requests (k <= 0,
 //    unknown op) yield ok=false responses, never a crash.
-//  - Overload control. With max_queue > 0, a request arriving while a
-//    leader is draining and the follower queue is full is SHED: it gets
-//    an immediate ok=false "overloaded" response instead of adding
-//    unbounded latency for everyone. Per-request deadlines (or the
-//    config default) are stamped at admission; a request whose deadline
-//    passed while it queued fails fast with "deadline exceeded" rather
-//    than burning batch capacity on an answer its client stopped
-//    waiting for.
+//  - Overload control. With max_inflight > 0, a request arriving while
+//    max_inflight requests are already executing is SHED: it gets an
+//    immediate ok=false "overloaded" response instead of adding latency
+//    for everyone. Per-request deadlines (or the config default) are
+//    stamped at admission; a request whose deadline passed before its
+//    execution started fails fast with "deadline exceeded".
 //  - Determinism. With social_alpha == 0 (the default) results are
 //    bit-identical to a direct train::Recommender over the same
-//    parameters for any thread count and any batching: every op, client
+//    parameters for any thread count and any concurrency: every op, client
 //    or shard, ranks through serve/ranking.h's one top-k ranker
 //    (TopKUnseen) or one cosine ranker (TopKSimilar), whatever the
 //    storage format.
@@ -38,8 +36,9 @@
 // Telemetry (when telemetry::Enabled()): counters serve.cache_hits,
 // serve.cache_misses, serve.snapshot_swaps, serve.degraded_requests,
 // serve.requests, serve.batches, serve.shed_requests,
-// serve.expired_requests, serve.failed_requests; gauge
-// serve.queue_depth; histograms serve.e2e_seconds (admission ->
+// serve.expired_requests, serve.failed_requests (serve.batches counts
+// one per request); gauge serve.queue_depth (requests in flight);
+// histograms serve.e2e_seconds (admission ->
 // response handoff, shed included) and the per-stage breakdown
 // serve.stage.{queue,recal,compute,rank,reply}_seconds, whose per-stage
 // sums reconcile with serve.e2e_seconds. The counters are always
@@ -92,15 +91,14 @@ struct EngineConfig {
   // (1 - alpha) * e_u + alpha * mean(e_v for social neighbors v). 0 keeps
   // the raw embedding and bit-identical parity with train::Recommender.
   float social_alpha = 0.0f;
-  // Admission bound for the micro-batch follower queue: a request that
-  // arrives while a leader is draining and max_queue followers are
-  // already waiting is shed with an ok=false "overloaded" response.
-  // <= 0 (default) keeps the queue unbounded.
-  int max_queue = 0;
+  // Admission bound on requests executing at once: a request that
+  // arrives while max_inflight are in flight is shed with an ok=false
+  // "overloaded" response. <= 0 (default) admits every request.
+  int max_inflight = 0;
   // Default per-request deadline in milliseconds, stamped at admission;
-  // a request still queued past its deadline fails fast with "deadline
-  // exceeded". Request::timeout_ms overrides per request. <= 0 disables.
-  // Capped at kMaxDeadlineMs.
+  // a request whose deadline passed before execution starts fails fast
+  // with "deadline exceeded". Request::timeout_ms overrides per request.
+  // <= 0 disables. Capped at kMaxDeadlineMs.
   int64_t default_deadline_ms = 0;
 
   // --- Quantized snapshots & IVF retrieval ---
@@ -187,12 +185,11 @@ struct Response {
 
 // One sampled request's stage breakdown, pushed to the trace sink set by
 // SetTraceSink(). Stage seconds partition the request's lifetime:
-// queue (admission -> batch execution start, which includes batch
-// formation and any pre-batch stall), recal (user-vector recalibration /
-// cache lookup), compute (parallel catalog scan), rank (filter + top-k
-// select), reply (execution end -> response handoff). Their sum is <=
-// total_seconds by construction (per-slot bookkeeping inside the batch
-// is the remainder).
+// queue (admission -> execution start, which includes any pre-execution
+// stall), recal (user-vector recalibration / cache lookup), compute
+// (parallel catalog scan), rank (filter + top-k select), reply
+// (execution end -> response handoff). Their sum is <= total_seconds by
+// construction (per-request bookkeeping is the remainder).
 struct RequestTrace {
   int64_t trace_id = 0;
   // Admission timestamp in microseconds on the telemetry trace-epoch
@@ -202,7 +199,6 @@ struct RequestTrace {
   const char* outcome = "ok";    // "ok" | "shed" | "expired" | "failed"
   int32_t user = 0;
   int k = 0;
-  int batch_size = 0;            // slots in the executing batch; 0 = shed
   int64_t snapshot_version = 0;
   bool degraded = false;
   double queue_seconds = 0.0;
@@ -217,12 +213,13 @@ struct RequestTrace {
 // enabled); hit/miss only move when the cache is enabled.
 struct EngineStats {
   int64_t requests = 0;
+  // Equals requests: every request executes on its own.
   int64_t batches = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t snapshot_swaps = 0;
   int64_t degraded_requests = 0;
-  // Requests refused at admission because the follower queue was full.
+  // Requests refused at admission because max_inflight were executing.
   int64_t shed_requests = 0;
   // Requests whose deadline passed before execution started.
   int64_t expired_requests = 0;
@@ -252,22 +249,17 @@ class ServingEngine {
   // Number of successful Load/Swap calls so far.
   int64_t swap_count() const;
 
-  // Serves one request, micro-batched with concurrent Handle() callers.
-  // Never CHECK-fails on request content: errors come back as ok=false.
+  // Serves one request on the calling thread. Never CHECK-fails on
+  // request content: errors come back as ok=false.
   Response Handle(const Request& request);
-
-  // Serves a batch directly (parallel across requests, one snapshot
-  // acquisition). Response i answers request i.
-  std::vector<Response> HandleBatch(const std::vector<Request>& requests);
 
   EngineStats stats() const;
   const EngineConfig& config() const { return config_; }
 
-  // Followers currently waiting in the micro-batch queue — the shard
-  // probe's instantaneous load signal.
+  // Requests in flight (admitted, not yet finished) — the shard probe's
+  // instantaneous load signal.
   int64_t queue_depth() const {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    return static_cast<int64_t>(queue_.size());
+    return inflight_.load(std::memory_order_relaxed);
   }
 
   // --- Observability plane ---
@@ -347,29 +339,28 @@ class ServingEngine {
   struct Slot {
     const Request* request = nullptr;
     Response response;
-    bool done = false;
     // Deadline stamped at admission; checked immediately before Execute.
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline;
     int64_t trace_id = 0;
     StageTimes stages;
     Outcome outcome = Outcome::kOk;
-    int batch_size = 0;
   };
 
   std::shared_ptr<const State> AcquireState() const;
   // Stamps Slot::deadline from request/config; no-op when both disable it.
   void StampDeadline(Slot* slot) const;
-  // Admission bookkeeping shared by Handle/HandleBatch: trace id, stage
-  // activation + admit stamp, deadline.
-  void AdmitSlot(Slot* slot);
+  // Takes an in-flight place; false when max_inflight are taken.
+  bool Enter();
   // True when some consumer (telemetry export, the windowed sampler, or
   // a trace sink) will read stage timings.
   bool Observing() const;
   // Completion bookkeeping: records stage + end-to-end histograms and
   // emits the sampled trace record. Sets Response::trace_id.
   void FinishSlot(Slot* slot);
-  void ExecuteBatch(const State* state, Slot** slots, size_t n);
+  // Runs the serve.execute failpoint, the deadline check and Execute,
+  // filling slot->response, outcome and the exec stamps.
+  void ExecuteSlot(const State* state, Slot* slot);
   Response Execute(const State* state, const Request& request,
                    StageTimes* stages);
   // The rank steps a client op shares with its shard twin. kTopK and
@@ -401,12 +392,8 @@ class ServingEngine {
   std::shared_ptr<const State> state_;
   std::atomic<int64_t> swap_count_{0};
 
-  // Micro-batch queue (leader/follower; see Handle() in the .cc).
-  // mutable so the const queue_depth() accessor can lock it.
-  mutable std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::vector<Slot*> queue_;
-  bool leader_active_ = false;
+  // Requests between Enter() and the end of Handle().
+  std::atomic<int64_t> inflight_{0};
 
   // LRU: most-recently-used at the front. Guarded by cache_mu_; the
   // cached vectors belong to snapshot version cache_version_ and are
@@ -420,7 +407,6 @@ class ServingEngine {
   int64_t cache_version_ = 0;
 
   std::atomic<int64_t> n_requests_{0};
-  std::atomic<int64_t> n_batches_{0};
   std::atomic<int64_t> n_cache_hits_{0};
   std::atomic<int64_t> n_cache_misses_{0};
   std::atomic<int64_t> n_degraded_{0};

@@ -106,7 +106,6 @@ std::string RequestTraceJson(const RequestTrace& t) {
       .Set("outcome", t.outcome)
       .Set("user", static_cast<int64_t>(t.user))
       .Set("k", static_cast<int64_t>(t.k))
-      .Set("batch_size", static_cast<int64_t>(t.batch_size))
       .Set("snapshot_version", t.snapshot_version)
       .Set("degraded", t.degraded)
       .Set("queue_s", t.queue_seconds)

@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -66,14 +67,18 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
   const Clock::time_point epoch = Clock::now() + std::chrono::milliseconds(5);
   constexpr double kLateThresholdMs = 1.0;
 
+  // Every worker takes the next record from one cursor, so a slow answer
+  // holds up only the worker that waits for it.
+  std::atomic<size_t> cursor{0};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
       WorkerTally& tally = tallies[static_cast<size_t>(w)];
       tally.last_completion = epoch;
-      for (size_t i = static_cast<size_t>(w); i < records.size();
-           i += static_cast<size_t>(workers)) {
+      for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+           i < records.size();
+           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
         const TraceRecord& rec = records[i];
         const Clock::time_point scheduled =
             epoch + std::chrono::nanoseconds(rec.arrival_ns);

@@ -11,12 +11,14 @@
 //
 // ReplayTrace therefore:
 //   * takes the arrival schedule from the trace, not from the engine's
-//     responsiveness — a fixed worker pool dispatches record i on worker
-//     i % workers, sleeping until each record's scheduled arrival;
+//     responsiveness — each worker of a fixed pool takes the next record
+//     from one shared cursor and sleeps until its scheduled arrival, so
+//     a slow answer holds up only its own worker while the others keep
+//     taking records;
 //   * measures every latency from the SCHEDULED arrival time to
-//     completion, so time a request spent waiting behind a backed-up
-//     worker counts against the engine, exactly as a queueing client
-//     would experience it;
+//     completion, so time a request spent waiting for a free worker
+//     counts against the engine, exactly as a queueing client would
+//     experience it;
 //   * reports backlog honestly: late_dispatches counts requests a worker
 //     could not send on time (dispatch > 1 ms after schedule) and
 //     max_lateness_ms the worst such lag. High lateness with low

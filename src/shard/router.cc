@@ -1,7 +1,10 @@
 #include "shard/router.h"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <utility>
 
 #include "serve/observe.h"
@@ -26,8 +29,8 @@ int64_t RemainMs(TimePoint deadline) {
       .count();
 }
 
-void BumpTelemetry(const char* name) {
-  if (telemetry::Enabled()) telemetry::GetCounter(name)->Add(1);
+void BumpTelemetry(const char* name, int64_t n = 1) {
+  if (telemetry::Enabled()) telemetry::GetCounter(name)->Add(n);
 }
 
 // One shard's parsed response to a scatter/gather partial.
@@ -63,6 +66,21 @@ void SortUniqueShards(std::vector<int32_t>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
 }
+
+// One shard's call within a Dispatch round.
+struct RoundCall {
+  TimePoint deadline;  // this round's budget for the shard
+  TimePoint hedge_at;  // TimePoint::max() once hedged or with hedging off
+  int live = 0;        // attempts still waiting for their reply
+  Status error = Status::Ok();  // first attempt failure
+};
+
+// One connection of a Dispatch round waiting for its reply line.
+struct Attempt {
+  size_t call = 0;  // index into the round's calls
+  std::unique_ptr<ShardConn> conn;
+  Clock::time_point t0;
+};
 
 }  // namespace
 
@@ -102,19 +120,6 @@ Router::Router(RouterConfig config) : config_(std::move(config)) {}
 
 Router::~Router() { Stop(); }
 
-void Router::IncAttempts() {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  ++inflight_attempts_;
-}
-
-void Router::DecAttempts() {
-  // Under the lock, as in ~OpGuard: a detached hedge thread calls this
-  // last, and the router may be destroyed as soon as the count is zero.
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  --inflight_attempts_;
-  drain_cv_.notify_all();
-}
-
 TimePoint Router::DeadlineFor(int64_t deadline_ms) const {
   int64_t ms = deadline_ms > 0   ? deadline_ms
                : deadline_ms < 0 ? 0
@@ -144,161 +149,161 @@ void Router::PutConn(ShardEntry& e, std::unique_ptr<ShardConn> conn) {
   if (e.pool.size() < 8) e.pool.push_back(std::move(conn));
 }
 
-StatusOr<std::string> Router::AttemptOnce(ShardEntry& e,
-                                          const std::string& line,
-                                          TimePoint deadline, bool probe) {
-  if (!probe) {
-    e.requests.fetch_add(1, std::memory_order_relaxed);
-    if (failpoint::Enabled()) {
-      Status st = failpoint::Check("shard.dispatch");
-      if (!st.ok()) {
-        e.failures.fetch_add(1, std::memory_order_relaxed);
-        e.health.RecordOutcome(false);
-        return st;
+std::vector<StatusOr<std::string>> Router::Dispatch(
+    const std::vector<int>& shards, const std::string& line,
+    TimePoint deadline) {
+  std::vector<StatusOr<std::string>> out;
+  out.reserve(shards.size());
+  std::vector<size_t> round;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    if (shards_[static_cast<size_t>(shards[i])]->health.state() ==
+        HealthState::kDown) {
+      // Fail fast; the probe thread keeps watching for recovery.
+      out.emplace_back(Status::FailedPrecondition(
+          "shard " + std::to_string(shards[i]) + " is down"));
+    } else {
+      out.emplace_back(Status::Internal("no attempt made"));
+      round.push_back(i);
+    }
+  }
+  const int attempts = 1 + std::max(0, config_.retries);
+  int backoff_ms = 1;
+  for (int a = 0; !round.empty(); ++a) {
+    DispatchRound(shards, line, deadline, round, &out);
+    // Only transient transport errors retry; a passed deadline means the
+    // budget is spent no matter what the shard would have said.
+    std::vector<size_t> retry;
+    for (size_t i : round) {
+      if (!out[i].ok() &&
+          out[i].status().code() == util::StatusCode::kInternal) {
+        retry.push_back(i);
       }
     }
-  }
-  const auto t0 = Clock::now();
-  auto conn_or = GetConn(e);
-  if (!conn_or.ok()) {
-    if (!probe) {
-      e.failures.fetch_add(1, std::memory_order_relaxed);
-      e.health.RecordOutcome(false);
+    if (retry.empty() || a + 1 >= attempts ||
+        Clock::now() + std::chrono::milliseconds(backoff_ms) >= deadline) {
+      break;
     }
-    return conn_or.status();
+    const auto n = static_cast<int64_t>(retry.size());
+    n_retries_.fetch_add(n, std::memory_order_relaxed);
+    BumpTelemetry("serve.shard.retries", n);
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms = std::min(backoff_ms * 2, 16);
+    round = std::move(retry);
   }
-  std::unique_ptr<ShardConn> conn = std::move(conn_or).value();
-  auto r = conn->Call(line, deadline);
-  if (r.ok()) {
-    // A failed Call leaves the connection dead or desynced — only a
-    // clean round-trip returns it to the pool.
-    PutConn(e, std::move(conn));
-    if (!probe) {
-      e.ok.fetch_add(1, std::memory_order_relaxed);
-      e.health.RecordOutcome(true);
-      e.latency.Record(
-          std::chrono::duration<double>(Clock::now() - t0).count());
-    }
-    return r;
-  }
-  if (!probe) {
-    e.failures.fetch_add(1, std::memory_order_relaxed);
-    e.health.RecordOutcome(false);
-  }
-  return r.status();
+  return out;
 }
 
-namespace {
-struct HedgeSlot {
-  std::mutex mu;
-  std::condition_variable cv;
-  int done = 0;
-  bool success = false;
-  std::string result;
-  Status error = Status::Ok();
-};
-}  // namespace
-
-StatusOr<std::string> Router::HedgedAttempt(ShardEntry& e,
-                                            const std::string& line,
-                                            TimePoint deadline) {
-  auto slot = std::make_shared<HedgeSlot>();
-  auto spawn = [this, &e, line, deadline, slot] {
-    IncAttempts();
-    std::thread([this, &e, line, deadline, slot] {
-      auto r = AttemptOnce(e, line, deadline, /*probe=*/false);
-      {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        ++slot->done;
-        if (r.ok()) {
-          if (!slot->success) {
-            slot->success = true;
-            slot->result = std::move(r).value();
-          }
-        } else if (slot->error.ok()) {
-          slot->error = r.status();
-        }
-      }
-      slot->cv.notify_all();
-      DecAttempts();
-    }).detach();
+void Router::DispatchRound(const std::vector<int>& shards,
+                           const std::string& line, TimePoint deadline,
+                           const std::vector<size_t>& round,
+                           std::vector<StatusOr<std::string>>* out) {
+  std::vector<RoundCall> calls(round.size());
+  std::vector<Attempt> live;
+  const auto entry = [&](size_t c) -> ShardEntry& {
+    return *shards_[static_cast<size_t>(shards[round[c]])];
+  };
+  // An attempt counts in e.requests once it has an outcome; a hedge's
+  // closed loser has none.
+  const auto fail = [&](Attempt& a, Status st) {
+    ShardEntry& e = entry(a.call);
+    e.requests.fetch_add(1, std::memory_order_relaxed);
+    e.failures.fetch_add(1, std::memory_order_relaxed);
+    e.health.RecordOutcome(false);
+    a.conn.reset();
+    RoundCall& call = calls[a.call];
+    if (call.error.ok()) call.error = std::move(st);
+    if (--call.live == 0) (*out)[round[a.call]] = call.error;
+  };
+  // One attempt: the shard.dispatch failpoint, a pooled or fresh
+  // connection, and the send.
+  const auto launch = [&](size_t c) {
+    ShardEntry& e = entry(c);
+    live.push_back({c, nullptr, Clock::now()});
+    ++calls[c].live;
+    Status st = failpoint::Enabled() ? failpoint::Check("shard.dispatch")
+                                     : Status::Ok();
+    if (st.ok()) {
+      auto conn = GetConn(e);
+      st = conn.ok() ? conn.value()->Send(line, calls[c].deadline)
+                     : conn.status();
+      if (st.ok()) live.back().conn = std::move(conn).value();
+    }
+    if (!st.ok()) fail(live.back(), std::move(st));
   };
 
-  spawn();
-  int launched = 1;
-  std::unique_lock<std::mutex> lock(slot->mu);
-  const TimePoint hedge_at =
-      Clock::now() + std::chrono::milliseconds(config_.hedge_ms);
-  slot->cv.wait_until(lock, std::min(deadline, hedge_at), [&] {
-    return slot->success || slot->done >= launched;
-  });
-  if (!slot->success && slot->done == 0 && Clock::now() < deadline) {
-    // The primary is a straggler: race a second attempt on a fresh
-    // connection, first success wins.
-    n_hedges_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.hedges");
-    launched = 2;
-    lock.unlock();
-    spawn();
-    lock.lock();
+  const auto start = Clock::now();
+  for (size_t c = 0; c < calls.size(); ++c) {
+    calls[c].deadline = std::min(
+        deadline, start + std::chrono::milliseconds(config_.shard_timeout_ms));
+    calls[c].hedge_at =
+        config_.hedge_ms > 0
+            ? start + std::chrono::milliseconds(config_.hedge_ms)
+            : TimePoint::max();
+    launch(c);
   }
-  // Attempts self-bound on `deadline`; the slack covers their teardown.
-  slot->cv.wait_until(lock, deadline + std::chrono::milliseconds(250),
-                      [&] { return slot->success || slot->done >= launched; });
-  if (slot->success) return slot->result;
-  if (slot->done >= launched && !slot->error.ok()) return slot->error;
-  return Status::DeadlineExceeded("hedged shard dispatch");
+  std::vector<pollfd> fds;
+  while (!live.empty()) {
+    // Expire calls past their budget and hedge the stragglers.
+    const auto now = Clock::now();
+    TimePoint wake = TimePoint::max();
+    for (size_t c = 0; c < calls.size(); ++c) {
+      if (calls[c].live == 0) continue;
+      if (now >= calls[c].deadline) {
+        for (Attempt& a : live) {
+          if (a.conn != nullptr && a.call == c) {
+            fail(a, Status::DeadlineExceeded("shard call read"));
+          }
+        }
+        continue;
+      }
+      if (now >= calls[c].hedge_at) {
+        // The primary has neither answered nor failed: race a second
+        // connection, first answer wins.
+        calls[c].hedge_at = TimePoint::max();
+        n_hedges_.fetch_add(1, std::memory_order_relaxed);
+        BumpTelemetry("serve.shard.hedges");
+        launch(c);
+      }
+      wake = std::min({wake, calls[c].deadline, calls[c].hedge_at});
+    }
+    live.erase(std::remove_if(
+                   live.begin(), live.end(),
+                   [](const Attempt& a) { return a.conn == nullptr; }),
+               live.end());
+    if (live.empty()) break;
+    fds.clear();
+    for (const Attempt& a : live) fds.push_back({a.conn->fd(), POLLIN, 0});
+    if (poll(fds.data(), fds.size(), PollTimeoutMs(wake)) <= 0) continue;
+    for (size_t i = 0; i < live.size(); ++i) {
+      Attempt& a = live[i];
+      if (a.conn == nullptr || fds[i].revents == 0) continue;
+      std::string reply;
+      auto got = a.conn->ReadLine(&reply);
+      if (!got.ok()) {
+        fail(a, got.status());
+      } else if (got.value()) {
+        ShardEntry& e = entry(a.call);
+        e.requests.fetch_add(1, std::memory_order_relaxed);
+        e.ok.fetch_add(1, std::memory_order_relaxed);
+        e.health.RecordOutcome(true);
+        e.latency.Record(
+            std::chrono::duration<double>(Clock::now() - a.t0).count());
+        PutConn(e, std::move(a.conn));
+        (*out)[round[a.call]] = std::move(reply);
+        calls[a.call].live = 0;
+        // The loser's reply is still due and would desync a pooled
+        // connection: close it instead.
+        for (Attempt& other : live) {
+          if (other.call == a.call) other.conn.reset();
+        }
+      }
+    }
+  }
 }
 
 StatusOr<std::string> Router::CallShard(int shard, const std::string& line,
                                         TimePoint deadline) {
-  ShardEntry& e = *shards_[static_cast<size_t>(shard)];
-  if (e.health.state() == HealthState::kDown) {
-    // Fail fast; the probe thread keeps watching for recovery.
-    return Status::FailedPrecondition("shard " + std::to_string(shard) +
-                                      " is down");
-  }
-  const int attempts = 1 + std::max(0, config_.retries);
-  Status last = Status::Internal("no attempt made");
-  int backoff_ms = 1;
-  for (int a = 0; a < attempts; ++a) {
-    const TimePoint att_deadline = std::min(
-        deadline,
-        Clock::now() + std::chrono::milliseconds(config_.shard_timeout_ms));
-    auto r = config_.hedge_ms > 0
-                 ? HedgedAttempt(e, line, att_deadline)
-                 : AttemptOnce(e, line, att_deadline, /*probe=*/false);
-    if (r.ok()) return r;
-    last = r.status();
-    // Only transient transport errors retry; a passed deadline means the
-    // budget is spent no matter what the shard would have said.
-    if (last.code() != util::StatusCode::kInternal) break;
-    if (a + 1 >= attempts) break;
-    if (Clock::now() + std::chrono::milliseconds(backoff_ms) >= deadline) {
-      break;
-    }
-    n_retries_.fetch_add(1, std::memory_order_relaxed);
-    BumpTelemetry("serve.shard.retries");
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    backoff_ms = std::min(backoff_ms * 2, 16);
-  }
-  return last;
-}
-
-std::vector<StatusOr<std::string>> Router::Scatter(const std::string& line,
-                                                   TimePoint deadline) {
-  const size_t n = shards_.size();
-  std::vector<StatusOr<std::string>> out(
-      n, StatusOr<std::string>(Status::Internal("not dispatched")));
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads.emplace_back([this, i, &line, deadline, &out] {
-      out[i] = CallShard(static_cast<int>(i), line, deadline);
-    });
-  }
-  for (auto& t : threads) t.join();
-  return out;
+  return std::move(Dispatch({shard}, line, deadline)[0]);
 }
 
 util::Status Router::ProbeShardOnce(ShardEntry& e, ShardIdentity* id_out) {
@@ -308,8 +313,11 @@ util::Status Router::ProbeShardOnce(ShardEntry& e, ShardIdentity* id_out) {
   }
   const TimePoint deadline =
       Clock::now() + std::chrono::milliseconds(config_.probe_timeout_ms);
-  auto r = AttemptOnce(e, "{\"op\":\"probe\"}", deadline, /*probe=*/true);
+  auto conn = GetConn(e);
+  if (!conn.ok()) return conn.status();
+  auto r = conn.value()->Call("{\"op\":\"probe\"}", deadline);
   if (!r.ok()) return r.status();
+  PutConn(e, std::move(conn).value());
   auto parsed = util::ParseJson(r.value());
   if (!parsed.ok()) {
     return Status::Internal("probe response is not JSON: " +
@@ -319,29 +327,41 @@ util::Status Router::ProbeShardOnce(ShardEntry& e, ShardIdentity* id_out) {
   if (!v.BoolOr("ok", false)) {
     return Status::Internal("probe failed: " + v.StringOr("error", "?"));
   }
-  e.snapshot_version.store(
-      static_cast<int64_t>(v.NumberOr("snapshot_version", 0)),
-      std::memory_order_relaxed);
-  e.queue_depth.store(static_cast<int64_t>(v.NumberOr("queue_depth", 0)),
-                      std::memory_order_relaxed);
+  // Each number is narrowed only after its range test passes; an answer
+  // carrying one its field cannot hold is a failed probe.
+  const char* bad = nullptr;
+  const auto num = [&](const char* key, bool int32) -> int64_t {
+    const double x = v.NumberOr(key, 0);
+    if (int32 ? FitsInt32(x) : FitsInt64(x)) return static_cast<int64_t>(x);
+    if (bad == nullptr) bad = key;
+    return 0;
+  };
+  ShardIdentity id;
+  id.shard_index = static_cast<int32_t>(num("shard_index", true));
+  id.num_shards = static_cast<int32_t>(num("num_shards", true));
+  id.item_begin = num("item_begin", false);
+  id.item_end = num("item_end", false);
+  id.num_users = num("num_users", false);
+  id.num_items = num("num_items", false);
+  id.dim = num("dim", false);
+  id.hash_seed =
+      std::strtoull(v.StringOr("hash_seed", "0").c_str(), nullptr, 10);
+  const int64_t version = num("snapshot_version", false);
+  const int64_t queue_depth = num("queue_depth", false);
+  const int64_t shed = num("shed_requests", false);
+  if (bad != nullptr) {
+    return Status::Internal(std::string("probe answer's \"") + bad +
+                            "\" is out of range");
+  }
+  e.snapshot_version.store(version, std::memory_order_relaxed);
+  e.queue_depth.store(queue_depth, std::memory_order_relaxed);
   // The worker's own admission-control counter (PR-5 overload signal):
   // sheds since the last probe mark the shard overloaded for this
   // interval.
-  const int64_t shed = static_cast<int64_t>(v.NumberOr("shed_requests", 0));
   e.overloaded.store(e.last_shed >= 0 && shed > e.last_shed,
                      std::memory_order_relaxed);
   e.last_shed = shed;
-  if (id_out != nullptr) {
-    id_out->shard_index = static_cast<int32_t>(v.NumberOr("shard_index", 0));
-    id_out->num_shards = static_cast<int32_t>(v.NumberOr("num_shards", 0));
-    id_out->item_begin = static_cast<int64_t>(v.NumberOr("item_begin", 0));
-    id_out->item_end = static_cast<int64_t>(v.NumberOr("item_end", 0));
-    id_out->num_users = static_cast<int64_t>(v.NumberOr("num_users", 0));
-    id_out->num_items = static_cast<int64_t>(v.NumberOr("num_items", 0));
-    id_out->dim = static_cast<int64_t>(v.NumberOr("dim", 0));
-    id_out->hash_seed = std::strtoull(
-        v.StringOr("hash_seed", "0").c_str(), nullptr, 10);
-  }
+  if (id_out != nullptr) *id_out = id;
   return Status::Ok();
 }
 
@@ -483,9 +503,7 @@ void Router::BeginDrain() {
   probe_cv_.notify_all();
   if (probe_thread_.joinable()) probe_thread_.join();
   std::unique_lock<std::mutex> lock(drain_mu_);
-  drain_cv_.wait(lock, [this] {
-    return inflight_ops_ == 0 && inflight_attempts_ == 0;
-  });
+  drain_cv_.wait(lock, [this] { return inflight_ops_ == 0; });
 }
 
 void Router::Stop() {
@@ -568,7 +586,9 @@ serve::Response Router::RunOp(int64_t deadline_ms, Body&& body) {
 
 void Router::Gather(const std::string& line, int k, TimePoint deadline,
                     std::vector<int32_t> missing, serve::Response* resp) {
-  auto raw = Scatter(line, deadline);
+  std::vector<int> every(shards_.size());
+  std::iota(every.begin(), every.end(), 0);
+  auto raw = Dispatch(every, line, deadline);
   std::vector<serve::ScoredItem> all;
   int64_t version = 0;
   int successes = 0;
@@ -813,13 +833,15 @@ util::StatusOr<int64_t> Router::CoordinatedSwap(const std::string& prefix) {
       err = r.status().ToString();
     } else {
       auto parsed = util::ParseJson(r.value());
+      const double v =
+          parsed.ok() ? parsed.value().NumberOr("snapshot_version", 0) : 0;
       if (!parsed.ok() || !parsed.value().BoolOr("ok", false)) {
         err = parsed.ok() ? parsed.value().StringOr("error", "commit refused")
                           : "malformed commit response";
+      } else if (!FitsInt64(v)) {
+        err = "commit answer's \"snapshot_version\" is out of range";
       } else {
-        version = std::max(
-            version, static_cast<int64_t>(
-                         parsed.value().NumberOr("snapshot_version", 0)));
+        version = std::max(version, static_cast<int64_t>(v));
       }
     }
     if (!err.empty()) {

@@ -24,12 +24,18 @@
 //    min(remaining, shard_timeout_ms) and the REMAINING budget rides the
 //    request line as deadline_ms, so a shard's engine sheds work the
 //    client already gave up on. No op can hang: every wait is bounded.
+//  - One dispatch routine, on the caller's thread: a single shard call
+//    and a scatter alike send the line on one pooled connection per
+//    shard and wait for every answer in one poll(); the router starts
+//    no thread per request.
 //  - Retries: transient transport failures (kInternal: refused / reset /
-//    EOF) retry with capped backoff while deadline budget remains;
-//    kDeadlineExceeded never retries. Counter serve.shard.retries.
-//  - Hedging: with hedge_ms > 0, a dispatch still pending after hedge_ms
-//    launches a second attempt on a fresh connection; first success
-//    wins. Counter serve.shard.hedges.
+//    EOF) retry in rounds with capped backoff while deadline budget
+//    remains; kDeadlineExceeded never retries. Counter
+//    serve.shard.retries.
+//  - Hedging: with hedge_ms > 0, a shard that has neither answered nor
+//    failed after hedge_ms gets a second connection in the same poll
+//    set; the first answer wins and the loser's connection is closed,
+//    never pooled. Counter serve.shard.hedges.
 //  - Partial degradation: item shards that stay unreachable are dropped
 //    from the gather — the response carries degraded:true and
 //    missing_shards naming them. An unreachable USER shard falls back
@@ -86,8 +92,8 @@ struct RouterConfig {
   int64_t default_deadline_ms = 0;
   // Extra attempts after the first on transient transport errors.
   int retries = 2;
-  // Launch a hedged second attempt for dispatches still pending after
-  // this many ms; 0 disables hedging.
+  // Send a hedged second attempt to a shard that has neither answered
+  // nor failed after this many ms; 0 disables hedging.
   int hedge_ms = 0;
   int probe_interval_ms = 100;
   // Fleet-wide in-flight op bound; ops beyond it are shed. 0 = unbounded.
@@ -164,9 +170,9 @@ class Router {
   // snapshot version on success.
   util::StatusOr<int64_t> CoordinatedSwap(const std::string& prefix);
 
-  // Stops probing and blocks until every in-flight op AND every
-  // straggling dispatch attempt (hedges included) has finished — the
-  // SIGTERM drain barrier before serve_end.
+  // Stops probing and blocks until every in-flight op has finished — the
+  // SIGTERM drain barrier before serve_end. An op leaves nothing running
+  // behind it, so nothing else needs waiting for.
   void BeginDrain();
 
   // {"ok":true,"op":"stats",...}: serve.shard.* counters plus per-shard
@@ -216,23 +222,23 @@ class Router {
   TimePoint DeadlineFor(int64_t deadline_ms) const;
   util::StatusOr<std::unique_ptr<ShardConn>> GetConn(ShardEntry& e);
   void PutConn(ShardEntry& e, std::unique_ptr<ShardConn> conn);
-  // One dispatch attempt on one fresh-or-pooled connection. Probes skip
-  // the shard.dispatch failpoint and the outcome EWMA (they have their
-  // own site and feed RecordProbe instead).
-  util::StatusOr<std::string> AttemptOnce(ShardEntry& e,
-                                          const std::string& line,
-                                          TimePoint deadline, bool probe);
-  util::StatusOr<std::string> HedgedAttempt(ShardEntry& e,
-                                            const std::string& line,
-                                            TimePoint deadline);
-  // Full dispatch policy: down short-circuit, per-attempt sub-deadline,
-  // retry-on-transient with backoff, optional hedging.
+  // The one dispatch routine, run on the calling thread: sends `line`
+  // byte-identically to each shard in `shards` and waits for all of them
+  // in one poll set. A DOWN shard fails fast; each round gives every
+  // attempt min(remaining, shard_timeout_ms), hedges a shard still
+  // pending after hedge_ms, and shards that failed with kInternal go
+  // again next round after a capped backoff. Result i is shard
+  // shards[i]'s response line or its error.
+  std::vector<util::StatusOr<std::string>> Dispatch(
+      const std::vector<int>& shards, const std::string& line,
+      TimePoint deadline);
+  // One round of Dispatch over out's entries `round`.
+  void DispatchRound(const std::vector<int>& shards, const std::string& line,
+                     TimePoint deadline, const std::vector<size_t>& round,
+                     std::vector<util::StatusOr<std::string>>* out);
+  // Dispatch to one shard.
   util::StatusOr<std::string> CallShard(int shard, const std::string& line,
                                         TimePoint deadline);
-  // Parallel scatter of `line` to every shard; result i is shard i's
-  // raw response line (error status on unreachable shards).
-  std::vector<util::StatusOr<std::string>> Scatter(const std::string& line,
-                                                   TimePoint deadline);
   util::Status ProbeShardOnce(ShardEntry& e, ShardIdentity* id_out);
   void ProbeLoop();
   void TickWindows();
@@ -255,8 +261,6 @@ class Router {
   // per-shard top-ks into *resp; shards that fail join `missing`.
   void Gather(const std::string& line, int k, TimePoint deadline,
               std::vector<int32_t> missing, serve::Response* resp);
-  void IncAttempts();
-  void DecAttempts();
 
   const RouterConfig config_;
   serve::ShardRing ring_;
@@ -280,11 +284,10 @@ class Router {
   std::atomic<int64_t> n_degraded_{0};
   std::atomic<int64_t> n_shed_{0};
 
-  // Drain barrier: ops + detached straggler attempts still running.
+  // Drain barrier: ops still running.
   mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   int64_t inflight_ops_ = 0;
-  int64_t inflight_attempts_ = 0;
 };
 
 }  // namespace dgnn::shard

@@ -45,7 +45,8 @@ class ShardService : public serve::Backend {
       : engine_(engine), snapshot_path_(std::move(snapshot_path)) {}
 
   // Full line handler: the shard ops first, then the client protocol.
-  // Thread-safe; scoring ops micro-batch through the engine as usual.
+  // Thread-safe; scoring ops run through the engine on the calling
+  // thread.
   std::string HandleLine(const std::string& line) {
     return serve::HandleLine(*this, line);
   }

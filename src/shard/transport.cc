@@ -26,7 +26,9 @@ Status FillAddr(const std::string& path, sockaddr_un* addr) {
   return Status::Ok();
 }
 
-int RemainingMs(TimePoint deadline) {
+}  // namespace
+
+int PollTimeoutMs(TimePoint deadline) {
   const auto now = std::chrono::steady_clock::now();
   if (now >= deadline) return 0;
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -36,8 +38,6 @@ int RemainingMs(TimePoint deadline) {
   // sentinels far in the future.
   return static_cast<int>(std::min<int64_t>(ms + 1, 1 << 30));
 }
-
-}  // namespace
 
 ShardConn::~ShardConn() {
   if (fd_ >= 0) close(fd_);
@@ -78,8 +78,7 @@ StatusOr<std::unique_ptr<ShardConn>> ShardConn::Connect(
   return std::unique_ptr<ShardConn>(new ShardConn(fd));
 }
 
-StatusOr<std::string> ShardConn::Call(const std::string& line,
-                                      TimePoint deadline) {
+Status ShardConn::Send(const std::string& line, TimePoint deadline) {
   std::string msg = line;
   msg.push_back('\n');
   size_t written = 0;
@@ -93,7 +92,7 @@ StatusOr<std::string> ShardConn::Call(const std::string& line,
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int wait = RemainingMs(deadline);
+      const int wait = PollTimeoutMs(deadline);
       if (wait == 0) return Status::DeadlineExceeded("shard call write");
       pollfd p{fd_, POLLOUT, 0};
       if (poll(&p, 1, wait) <= 0) {
@@ -105,15 +104,18 @@ StatusOr<std::string> ShardConn::Call(const std::string& line,
     return Status::Internal(std::string("shard write: ") +
                             (n < 0 ? strerror(errno) : "short write"));
   }
+  return Status::Ok();
+}
 
+StatusOr<bool> ShardConn::ReadLine(std::string* line) {
   // rdbuf_ survives across calls; with one outstanding request per
   // connection it only ever holds a prefix of the next response.
   for (;;) {
     const size_t nl = rdbuf_.find('\n');
     if (nl != std::string::npos) {
-      std::string result = rdbuf_.substr(0, nl);
+      line->assign(rdbuf_, 0, nl);
       rdbuf_.erase(0, nl + 1);
-      return result;
+      return true;
     }
     char buf[4096];
     const ssize_t n = read(fd_, buf, sizeof(buf));
@@ -121,20 +123,26 @@ StatusOr<std::string> ShardConn::Call(const std::string& line,
       rdbuf_.append(buf, static_cast<size_t>(n));
       continue;
     }
-    if (n == 0) {
-      return Status::Internal("shard connection closed");
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const int wait = RemainingMs(deadline);
-      if (wait == 0) return Status::DeadlineExceeded("shard call read");
-      pollfd p{fd_, POLLIN, 0};
-      if (poll(&p, 1, wait) <= 0) {
-        return Status::DeadlineExceeded("shard call read");
-      }
-      continue;
-    }
+    if (n == 0) return Status::Internal("shard connection closed");
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
     if (errno == EINTR) continue;
     return Status::Internal(std::string("shard read: ") + strerror(errno));
+  }
+}
+
+StatusOr<std::string> ShardConn::Call(const std::string& line,
+                                      TimePoint deadline) {
+  DGNN_RETURN_IF_ERROR(Send(line, deadline));
+  std::string reply;
+  for (;;) {
+    auto got = ReadLine(&reply);
+    if (!got.ok()) return got.status();
+    if (got.value()) return reply;
+    const int wait = PollTimeoutMs(deadline);
+    pollfd p{fd_, POLLIN, 0};
+    if (wait == 0 || poll(&p, 1, wait) <= 0) {
+      return Status::DeadlineExceeded("shard call read");
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 // Error taxonomy (what the router's retry policy keys on):
 //  - kInternal      — connection-level failures: refused/failed connect,
 //                     peer reset, unexpected EOF. Transient by contract;
-//                     RetryWithBackoff retries these.
+//                     the router retries these.
 //  - kDeadlineExceeded — the caller's deadline passed first. NEVER
 //                     retried (the budget is gone); the router maps it
 //                     to a missing-shard degradation instead.
@@ -34,9 +34,13 @@ namespace dgnn::shard {
 
 using TimePoint = std::chrono::steady_clock::time_point;
 
+// Milliseconds until `deadline` as a poll() timeout: rounded up, clamped
+// to an int, 0 once it has passed.
+int PollTimeoutMs(TimePoint deadline);
+
 // Client side: one connection, one outstanding request at a time. Not
 // thread-safe; the router keeps a pool and hands a connection to a
-// single attempt at a time.
+// single call at a time.
 class ShardConn {
  public:
   ~ShardConn();
@@ -48,13 +52,23 @@ class ShardConn {
   static util::StatusOr<std::unique_ptr<ShardConn>> Connect(
       const std::string& path, int timeout_ms);
 
-  // Writes `line` (newline appended) and blocks for one response line
-  // (newline stripped). kInternal on reset/EOF — the connection is dead
-  // afterwards and must be discarded; kDeadlineExceeded when `deadline`
-  // passes first (also discard: a late reply may still arrive and would
-  // desync the stream).
+  // Writes `line` (newline appended). kInternal on reset — the
+  // connection is dead and must be discarded; kDeadlineExceeded when the
+  // socket stays full past `deadline`.
+  util::Status Send(const std::string& line, TimePoint deadline);
+
+  // Reads what has arrived without blocking: true with *line set
+  // (newline stripped) once a whole response line is in, false while
+  // more bytes are due (poll fd() for POLLIN), kInternal on reset/EOF.
+  util::StatusOr<bool> ReadLine(std::string* line);
+
+  // Send, then block for the response line. A failed call leaves the
+  // connection dead or desynced (a late reply may still arrive), so the
+  // caller must discard it.
   util::StatusOr<std::string> Call(const std::string& line,
                                    TimePoint deadline);
+
+  int fd() const { return fd_; }
 
  private:
   explicit ShardConn(int fd) : fd_(fd) {}

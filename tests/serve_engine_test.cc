@@ -1,10 +1,12 @@
 // Tests for the online ServingEngine: ranking tie-breaks, bit-identical
 // parity with the direct train::Recommender across thread counts and
-// batching, graceful degradation for unknown users, the LRU cache and its
-// swap invalidation, telemetry counters, and zero-downtime hot swap under
-// concurrent readers (the TSan job runs this suite too).
+// concurrent callers, graceful degradation for unknown users, the LRU
+// cache and its swap invalidation, telemetry counters, the in-flight
+// bound and the one-request-per-caller rule, and zero-downtime hot swap
+// under concurrent readers (the TSan job runs this suite too).
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "serve/ranking.h"
 #include "serve/snapshot.h"
 #include "train/recommender.h"
+#include "util/failpoint.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
@@ -128,26 +131,6 @@ TEST_F(ServeEngineTest, MatchesRecommenderBitIdenticallyAcrossThreads) {
     }
   }
   util::SetNumThreads(saved_threads);
-}
-
-TEST_F(ServeEngineTest, HandleBatchMatchesSingleRequests) {
-  ServingEngine engine;
-  engine.Swap(snapshot_);
-  std::vector<Request> batch;
-  for (int32_t u = 0; u < std::min<int32_t>(dataset_.num_users, 16); ++u) {
-    batch.push_back(TopKRequest(u, 8));
-  }
-  const auto responses = engine.HandleBatch(batch);
-  ASSERT_EQ(responses.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const auto want = recommender_.TopK(batch[i].user, 8);
-    ASSERT_TRUE(responses[i].ok);
-    ASSERT_EQ(responses[i].items.size(), want.size());
-    for (size_t j = 0; j < want.size(); ++j) {
-      EXPECT_EQ(responses[i].items[j].item, want[j].item);
-      EXPECT_EQ(responses[i].items[j].score, want[j].score);
-    }
-  }
 }
 
 TEST_F(ServeEngineTest, UnknownUserDegradesToPopularityRanking) {
@@ -306,7 +289,7 @@ TEST_F(ServeEngineTest, SocialRecalibrationChangesScoresOnlyWhenEnabled) {
   EXPECT_NE(blended.score, recommender_.Score(social_user, 0));
 }
 
-TEST_F(ServeEngineTest, ConcurrentHandleCallsAreMicroBatched) {
+TEST_F(ServeEngineTest, ConcurrentHandleCallsEachRunOnTheirCaller) {
   ServingEngine engine;
   engine.Swap(snapshot_);
   const int32_t probe_users = std::min<int32_t>(dataset_.num_users, 16);
@@ -337,11 +320,77 @@ TEST_F(ServeEngineTest, ConcurrentHandleCallsAreMicroBatched) {
   EXPECT_EQ(mismatches.load(), 0);
   const serve::EngineStats s = engine.stats();
   EXPECT_EQ(s.requests, kClients * kIters);
-  // Micro-batching must have coalesced at least some concurrent requests
-  // (strictly fewer batches than requests would be flaky on a loaded
-  // 1-core CI host, so only assert the accounting invariant).
-  EXPECT_GE(s.requests, s.batches);
-  EXPECT_GT(s.batches, 0);
+  // Every request executes on its own.
+  EXPECT_EQ(s.batches, s.requests);
+}
+
+double MsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST_F(ServeEngineTest, AdmittedRequestDoesNotWaitForLaterArrivals) {
+  // Each call runs under a 100 ms injected delay. The first caller must
+  // get its answer after its own delay while four more requests arrive
+  // behind it; a caller that also served the later arrivals would answer
+  // after about 300 ms.
+  ServingEngine engine;
+  engine.Swap(snapshot_);
+  ASSERT_TRUE(failpoint::Configure("serve.execute=delay:100").ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  std::atomic<int> later_ok{0};
+  std::vector<std::thread> later;
+  for (int at_ms : {20, 60, 120, 160}) {
+    later.emplace_back([&, at_ms] {
+      std::this_thread::sleep_until(t0 + std::chrono::milliseconds(at_ms));
+      if (engine.Handle(TopKRequest(1, 5)).ok) later_ok.fetch_add(1);
+    });
+  }
+  const Response first = engine.Handle(TopKRequest(0, 5));
+  const double first_ms = MsSince(t0);
+  for (auto& t : later) t.join();
+  failpoint::Clear();
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_LT(first_ms, 200.0);
+  EXPECT_EQ(later_ok.load(), 4);
+}
+
+TEST_F(ServeEngineTest, MaxInflightShedsCallsBeyondTheBound) {
+  serve::EngineConfig config;
+  config.max_inflight = 2;
+  ServingEngine engine(config);
+  engine.Swap(snapshot_);
+  ASSERT_TRUE(failpoint::Configure("serve.execute=delay:100").ok());
+  constexpr int kCalls = 8;
+  std::vector<Response> responses(kCalls);
+  std::vector<double> took_ms(kCalls);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCalls; ++i) {
+    callers.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      const auto t0 = std::chrono::steady_clock::now();
+      responses[static_cast<size_t>(i)] = engine.Handle(TopKRequest(i, 5));
+      took_ms[static_cast<size_t>(i)] = MsSince(t0);
+    });
+  }
+  go.store(true);
+  for (auto& t : callers) t.join();
+  failpoint::Clear();
+  int64_t shed = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    const Response& r = responses[static_cast<size_t>(i)];
+    if (!r.ok) {
+      EXPECT_EQ(r.error, "overloaded");
+      ++shed;
+    }
+    // An admitted call waits for nobody; a shed one answers at once.
+    EXPECT_LT(took_ms[static_cast<size_t>(i)], 200.0) << "call " << i;
+  }
+  EXPECT_GE(shed, 1);
+  EXPECT_EQ(engine.stats().shed_requests, shed);
+  EXPECT_EQ(engine.stats().requests, kCalls - shed);
 }
 
 TEST_F(ServeEngineTest, HotSwapUnderConcurrentReadersDropsNothing) {

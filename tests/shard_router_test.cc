@@ -4,9 +4,10 @@
 // single-process engine, the kill-one-shard matrix (degraded:true with
 // correct missing-shard attribution, popularity failover for a down
 // user shard, hard failure only when every shard is gone, probe-driven
-// recovery after restart), retry/hedging behavior under failpoints, the
-// two-phase coordinated swap (commit everywhere / abort everywhere),
-// and the drain barrier.
+// recovery after restart), retry/hedging behavior under failpoints and
+// a straggling worker, the two-phase coordinated swap (commit everywhere
+// / abort everywhere), out-of-range numbers in shard answers, and the
+// drain barrier.
 
 #include <atomic>
 #include <chrono>
@@ -402,6 +403,42 @@ TEST_F(ShardRouterTest, MaxInflightShedsInsteadOfQueueing) {
   EXPECT_EQ(shed, router_->counters().shed);
 }
 
+TEST_F(ShardRouterTest, HedgedOpLeavesNothingRunningBehindIt) {
+  // Worker 0 sleeps 300 ms on its first topk_partial line; the 20 ms
+  // hedge answers on a second connection and the slow one is closed, so
+  // a drain right after the op has nothing to wait for.
+  std::atomic<bool> slept{false};
+  Worker& w = *workers_[0];
+  w.Kill();
+  w.server = std::make_unique<shard::SocketServer>();
+  ASSERT_TRUE(w.server
+                  ->Start(w.socket_path,
+                          [&](const std::string& line) {
+                            if (line.find("topk_partial") !=
+                                    std::string::npos &&
+                                !slept.exchange(true)) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(300));
+                            }
+                            return w.service->HandleLine(line);
+                          })
+                  .ok());
+  shard::RouterConfig c = FastConfig();
+  c.hedge_ms = 20;
+  StartRouter(std::move(c));
+  const int32_t user = UserOwnedBy(1);
+  ExpectBitIdentical(SingleTopK(user, 10), router_->TopK(user, 10));
+  EXPECT_TRUE(slept.load());
+  EXPECT_GE(router_->counters().hedges, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  router_->BeginDrain();
+  const std::chrono::duration<double, std::milli> drain =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(drain.count(), 100.0);
+  router_.reset();
+  w.Kill();  // waits out the sleeping handler before `slept` goes
+}
+
 // ----- two-phase coordinated swap -------------------------------------------
 
 TEST_F(ShardRouterTest, CoordinatedSwapCommitsOnEveryShard) {
@@ -563,8 +600,30 @@ TEST_F(ShardRouterTest, OutOfRangeNumbersFromAShardAreMalformed) {
     EXPECT_TRUE(got.degraded) << m.key;
     EXPECT_EQ(got.missing_shards, std::vector<int32_t>({2})) << m.key;
   }
-  // Nothing may call the handler once `mangle` is gone.
+  // A commit answer carrying one is a failed commit.
+  const Mangle kCommit = {"swap_commit", "snapshot_version", "1e300"};
+  mangle.store(&kCommit);
+  const std::string next = TestPath("router_fleet_mangled.snap");
+  ASSERT_TRUE(shard::WriteShardSnapshots(full_, next, kNumShards, 42).ok());
+  const auto version = router_->CoordinatedSwap(next);
+  ASSERT_FALSE(version.ok());
+  EXPECT_NE(version.status().ToString().find("commit failed"),
+            std::string::npos)
+      << version.status().ToString();
+  // A probe answer carrying one is a failed probe: Start refuses.
   router_.reset();
+  const Mangle kProbes[] = {{"\"probe\"", "snapshot_version", "1e300"},
+                            {"\"probe\"", "num_users", "1e300"}};
+  for (const Mangle& m : kProbes) {
+    mangle.store(&m);
+    shard::Router router(FastConfig());
+    const util::Status st = router.Start();
+    EXPECT_FALSE(st.ok()) << m.key;
+    EXPECT_NE(st.ToString().find("initial probe of shard 2"),
+              std::string::npos)
+        << st.ToString();
+  }
+  // Nothing may call the handler once `mangle` is gone.
   w.Kill();
 }
 
