@@ -24,7 +24,6 @@
 // Flags:
 //   --preset=tiny|ciao|epinions|yelp   dataset scale (default tiny)
 //   --dim=16 --k=10                    embedding dim / top-k size
-//   --cache=4096                       engine LRU capacity (0 disables)
 //   --social-alpha=0                   serve-time social recalibration
 //   --hot-fraction=0.8                 share of traffic on 1/8 of users
 //   --max-inflight=0 --deadline-ms=0   engine overload / deadline config
@@ -68,7 +67,6 @@
 #include "serve/snapshot.h"
 #include "serve/trace.h"
 #include "train/recommender.h"
-#include "util/fs.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -146,88 +144,6 @@ StageMeans ReadStageMeans() {
   return m;
 }
 
-// One open-loop point serialized for BENCH_serve.json (schema v2:
-// snapshot_bytes always present, recall_at_k only when measured).
-std::string OpenPointJson(double target_qps, const serve::ReplayResult& r,
-                          const StageMeans& stages, int64_t snapshot_bytes,
-                          double recall_at_k) {
-  util::JsonObject o;
-  o.Set("target_qps", target_qps)
-      .Set("requests", r.requests)
-      .Set("seconds", r.seconds)
-      .Set("offered_qps", r.offered_qps)
-      .Set("achieved_qps", r.achieved_qps)
-      .Set("p50_ms", r.p50_ms)
-      .Set("p95_ms", r.p95_ms)
-      .Set("p99_ms", r.p99_ms)
-      .Set("max_ms", r.max_ms)
-      .Set("mean_ms", r.mean_ms)
-      .Set("ok", r.ok)
-      .Set("degraded", r.degraded)
-      .Set("shed", r.shed)
-      .Set("expired", r.expired)
-      .Set("failed", r.failed)
-      .Set("late_dispatches", r.late_dispatches)
-      .Set("max_lateness_ms", r.max_lateness_ms)
-      .Set("peak_rss_bytes", r.peak_rss_bytes)
-      .Set("distinct_trace_ids", r.distinct_trace_ids)
-      .Set("stage_queue_ms_mean", stages.queue_ms)
-      .Set("stage_recal_ms_mean", stages.recal_ms)
-      .Set("stage_compute_ms_mean", stages.compute_ms)
-      .Set("stage_rank_ms_mean", stages.rank_ms)
-      .Set("stage_reply_ms_mean", stages.reply_ms)
-      .Set("e2e_ms_mean", stages.e2e_ms)
-      .Set("snapshot_bytes", snapshot_bytes);
-  if (recall_at_k >= 0.0) o.Set("recall_at_k", recall_at_k);
-  return o.Build();
-}
-
-// Snapshot storage / retrieval configuration stamped into the JSON
-// header so committed trajectory points are self-describing (an IVF
-// point and its brute-force baseline differ only here).
-struct StorageInfo {
-  std::string quant = "none";
-  bool index = false;
-  int nprobe = 0;
-  int rerank = 0;
-  std::string mix = "default";
-};
-
-int WriteBenchJson(const std::string& path,
-                   const std::string& preset, int dim, int k,
-                   const std::string& arrival, int workers,
-                   const StorageInfo& storage,
-                   const std::vector<std::string>& points) {
-  std::string arr = "[";
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (i > 0) arr += ',';
-    arr += points[i];
-  }
-  arr += ']';
-  util::JsonObject o;
-  o.Set("schema_version", 2)
-      .Set("bench", "bench_serve_load")
-      .Set("mode", "open")
-      .Set("preset", preset)
-      .Set("dim", dim)
-      .Set("k", k)
-      .Set("quant", storage.quant)
-      .Set("index", storage.index)
-      .Set("nprobe", storage.nprobe)
-      .Set("rerank", storage.rerank)
-      .Set("arrival", arrival)
-      .Set("workers", workers)
-      .Set("mix", storage.mix)
-      .SetRaw("points", arr);
-  util::Status s = fs::AtomicWriteFile(path, o.Build() + "\n");
-  if (!s.ok()) {
-    std::fprintf(stderr, "bench-json: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[bench] results written to %s\n", path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -256,8 +172,6 @@ int main(int argc, char** argv) {
   const std::string bench_json = flags.GetString("bench-json", "");
 
   serve::EngineConfig engine_config;
-  engine_config.cache_capacity =
-      static_cast<int>(flags.GetInt("cache", 4096));
   engine_config.social_alpha =
       static_cast<float>(flags.GetDouble("social-alpha", 0.0));
   engine_config.max_inflight =
@@ -282,11 +196,15 @@ int main(int argc, char** argv) {
   const bool build_index = flags.GetBool("index", false);
   const bool approx_path =
       quant_name != "none" || (build_index && engine_config.nprobe > 0);
-  StorageInfo storage;
-  storage.quant = quant_name;
-  storage.index = build_index;
-  storage.nprobe = engine_config.nprobe;
-  storage.rerank = engine_config.rerank;
+  // Stamped into the --bench-json header so committed trajectory points
+  // are self-describing (an IVF point and its brute-force baseline differ
+  // only there).
+  serve::BenchHeader header;
+  header.bench = "bench_serve_load";
+  header.quant = quant_name;
+  header.index = build_index;
+  header.nprobe = engine_config.nprobe;
+  header.rerank = engine_config.rerank;
   const int recall_users =
       static_cast<int>(flags.GetInt("recall-users", 256));
   std::vector<int32_t> recall_user_ids;
@@ -445,7 +363,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--mix must be default or topk\n");
     return 2;
   }
-  storage.mix = mix;
+  header.mix = mix;
 
   std::vector<double> qps_sweep;
   for (const std::string& tok :
@@ -477,7 +395,7 @@ int main(int argc, char** argv) {
   util::Table table({"target_qps", "requests", "achieved_qps", "p50_ms",
                      "p95_ms", "p99_ms", "shed", "expired", "late",
                      "rss_mb", "snap_mb", "recall"});
-  std::vector<std::string> points;
+  std::vector<util::JsonObject> points;
   std::vector<std::string> stage_lines;
   for (double target : qps_sweep) {
     serve::Trace trace;
@@ -532,8 +450,15 @@ int main(int argc, char** argv) {
         target, stages.queue_ms, stages.recal_ms, stages.compute_ms,
         stages.rank_ms, stages.reply_ms, stages.e2e_ms,
         (long long)r.distinct_trace_ids, (long long)r.requests));
-    points.push_back(
-        OpenPointJson(target, r, stages, snapshot_bytes, recall_at_k));
+    util::JsonObject point = serve::BenchPoint(target, r, snapshot_bytes);
+    point.Set("stage_queue_ms_mean", stages.queue_ms)
+        .Set("stage_recal_ms_mean", stages.recal_ms)
+        .Set("stage_compute_ms_mean", stages.compute_ms)
+        .Set("stage_rank_ms_mean", stages.rank_ms)
+        .Set("stage_reply_ms_mean", stages.reply_ms)
+        .Set("e2e_ms_mean", stages.e2e_ms);
+    if (recall_at_k >= 0.0) point.Set("recall_at_k", recall_at_k);
+    points.push_back(std::move(point));
     if (!replay_path.empty()) break;  // a file trace is one point
   }
   table.Print();
@@ -543,10 +468,18 @@ int main(int argc, char** argv) {
     std::printf("%s\n", line.c_str());
   }
   if (!bench_json.empty()) {
-    return WriteBenchJson(bench_json, dataset.name,
-                          (int)zoo.embedding_dim, k,
-                          serve::ArrivalProcessName(schedule.arrival),
-                          replay_config.workers, storage, points);
+    header.preset = dataset.name;
+    header.dim = zoo.embedding_dim;
+    header.k = k;
+    header.arrival = serve::ArrivalProcessName(schedule.arrival);
+    header.workers = replay_config.workers;
+    util::Status s = serve::WriteBenchJson(bench_json, header, points);
+    if (!s.ok()) {
+      std::fprintf(stderr, "bench-json: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "[bench] results written to %s\n",
+                 bench_json.c_str());
   }
   return 0;
 }

@@ -6,7 +6,8 @@
 #   1. dgnn_cli trains a reference run to completion and saves params.
 #   2. A second run with the same flags plus --checkpoint /
 #      --checkpoint-every=1 is SIGKILLed (kill -9, no cleanup) as soon as
-#      its first checkpoint hits disk — mid-epoch by construction.
+#      its run log records its first successful checkpoint save —
+#      mid-epoch by construction.
 #   3. The victim's run log is checked: every complete line parses as
 #      JSON (a crash may truncate the final line, never corrupt earlier
 #      ones) and there is no run_end — the run died, it didn't lie.
@@ -48,12 +49,34 @@ TRAIN_FLAGS=(--mode=train --data_dir="$WORK_DIR/data" --epochs=40
   --checkpoint-every=1 --params="$WORK_DIR/victim.bin" \
   --run-log="$WORK_DIR/victim.jsonl" > /dev/null &
 VICTIM=$!
-for _ in $(seq 1 2000); do
-  [[ -f "$WORK_DIR/train.ckpt" ]] && break
-  sleep 0.005
-done
-if [[ ! -f "$WORK_DIR/train.ckpt" ]]; then
-  echo "check_crash_recovery: no checkpoint appeared within 10s" >&2
+# Wait for the event step 3 asserts, a complete checkpoint line with
+# action save_checkpoint and ok true, not for train.ckpt itself:
+# SaveCheckpoint renames the file into place before it logs the save, so
+# a kill that lands in between would leave no such line.
+saved=0
+python3 - "$WORK_DIR/victim.jsonl" <<'EOF' || saved=$?
+import json, sys, time
+
+path = sys.argv[1]
+deadline = time.monotonic() + 10
+while time.monotonic() < deadline:
+    try:
+        raw = open(path).read()
+    except FileNotFoundError:
+        raw = ""
+    for line in raw.split("\n")[:-1]:  # complete lines only
+        try:
+            e = json.loads(line)
+        except ValueError:
+            continue
+        if (e.get("event") == "checkpoint" and
+                e.get("action") == "save_checkpoint" and e.get("ok")):
+            sys.exit(0)
+    time.sleep(0.005)
+sys.exit(1)
+EOF
+if [[ "$saved" -ne 0 || ! -f "$WORK_DIR/train.ckpt" ]]; then
+  echo "check_crash_recovery: no checkpoint save logged within 10s" >&2
   kill -9 "$VICTIM" 2> /dev/null || true
   exit 1
 fi
@@ -115,8 +138,14 @@ assert end.get("resumed_from") == ckpt, end
 print("check_crash_recovery: resumed log records lineage")
 EOF
 
-"$INSPECT" summarize "$WORK_DIR/victim.jsonl" "$WORK_DIR/resumed.jsonl" \
-  | grep -q "resume lineage" || {
+# Here-strings, not a pipe into grep -q: under pipefail, grep -q exiting
+# on its first match can SIGPIPE the writer and fail a passing check.
+SUMMARY="$("$INSPECT" summarize "$WORK_DIR/victim.jsonl" \
+  "$WORK_DIR/resumed.jsonl")" || {
+  echo "check_crash_recovery: dgnn_inspect summarize failed" >&2
+  exit 1
+}
+grep -q "resume lineage" <<< "$SUMMARY" || {
   echo "check_crash_recovery: dgnn_inspect did not render resume" \
        "lineage" >&2
   exit 1

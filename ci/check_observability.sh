@@ -172,8 +172,11 @@ EOF
   echo "check_observability: valid stats JSONL failed inspection" >&2
   exit 1
 }
-"$INSPECT" stats "$WORK_DIR/stats.jsonl" --prom | grep -q \
-  "^dgnn_serve_requests_total " || {
+# Here-strings, not a pipe into grep -q: under pipefail, grep -q exiting
+# on its first match can SIGPIPE the writer and fail a passing check.
+PROM="$("$INSPECT" stats "$WORK_DIR/stats.jsonl" --prom)" || {
+  echo "check_observability: inspect --prom failed" >&2; exit 1; }
+grep -q "^dgnn_serve_requests_total " <<< "$PROM" || {
   echo "check_observability: inspect --prom missing counters" >&2; exit 1; }
 "$INSPECT" watch "$WORK_DIR/stats.jsonl" > /dev/null || {
   echo "check_observability: watch failed on valid stats JSONL" >&2

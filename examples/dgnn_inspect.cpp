@@ -633,11 +633,10 @@ int BenchValidate(const std::string& path) {
 void PrintStatsWindow(const char* name, const JsonValue& w) {
   std::printf(
       "  %-4s qps=%-9.1f p50=%-8.3fms p95=%-8.3fms p99=%-8.3fms "
-      "avail=%-7.4f cache=%-6.3f queue=%lld viol(p99=%lld avail=%lld)\n",
+      "avail=%-7.4f queue=%lld viol(p99=%lld avail=%lld)\n",
       name, w.NumberOr("qps", 0), w.NumberOr("p50_ms", 0),
       w.NumberOr("p95_ms", 0), w.NumberOr("p99_ms", 0),
-      w.NumberOr("availability", 0), w.NumberOr("cache_hit_rate", 0),
-      (long long)w.NumberOr("queue_depth", 0),
+      w.NumberOr("availability", 0), (long long)w.NumberOr("queue_depth", 0),
       (long long)w.NumberOr("p99_violations", 0),
       (long long)w.NumberOr("availability_violations", 0));
 }
@@ -683,17 +682,14 @@ int StatsRender(const std::string& path, bool prom) {
   std::printf("%s: %lld snapshot(s); newest:\n", path.c_str(),
               (long long)lines);
   std::printf(
-      "  totals: requests=%lld batches=%lld shed=%lld expired=%lld "
-      "failed=%lld degraded=%lld swaps=%lld cache(hit=%lld miss=%lld)\n",
+      "  totals: requests=%lld shed=%lld expired=%lld failed=%lld "
+      "degraded=%lld swaps=%lld\n",
       (long long)v.NumberOr("requests", 0),
-      (long long)v.NumberOr("batches", 0),
       (long long)v.NumberOr("shed_requests", 0),
       (long long)v.NumberOr("expired_requests", 0),
       (long long)v.NumberOr("failed_requests", 0),
       (long long)v.NumberOr("degraded_requests", 0),
-      (long long)v.NumberOr("snapshot_swaps", 0),
-      (long long)v.NumberOr("cache_hits", 0),
-      (long long)v.NumberOr("cache_misses", 0));
+      (long long)v.NumberOr("snapshot_swaps", 0));
   const JsonValue* windows = v.Find("windows");
   for (const char* name : {"1s", "10s", "60s"}) {
     const JsonValue* w = windows->Find(name);

@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -90,65 +89,6 @@ class RouterBackend : public serve::Backend {
  private:
   shard::Router& router_;
 };
-
-// --bench-json: one open-mode schema_version-2 point in the exact shape
-// `dgnn_inspect bench` validates (ValidateBenchPoint), so router runs
-// slot into the same trajectory tooling as bench_serve_load results.
-int WriteBenchJson(const std::string& path, const std::string& preset,
-                   const std::string& arrival, int workers, int64_t dim,
-                   int64_t snapshot_bytes, int num_shards,
-                   int killed_shards, const serve::ReplayResult& r,
-                   const shard::RouterCounters& c) {
-  util::JsonObject point;
-  point.Set("target_qps", r.offered_qps)
-      .Set("offered_qps", r.offered_qps)
-      .Set("achieved_qps", r.achieved_qps)
-      .Set("requests", r.requests)
-      .Set("seconds", r.seconds)
-      .Set("p50_ms", r.p50_ms)
-      .Set("p95_ms", r.p95_ms)
-      .Set("p99_ms", r.p99_ms)
-      .Set("max_ms", r.max_ms)
-      .Set("mean_ms", r.mean_ms)
-      .Set("ok", r.ok)
-      .Set("degraded", r.degraded)
-      .Set("shed", r.shed)
-      .Set("expired", r.expired)
-      .Set("failed", r.failed)
-      .Set("late_dispatches", r.late_dispatches)
-      .Set("max_lateness_ms", r.max_lateness_ms)
-      .Set("distinct_trace_ids", r.distinct_trace_ids)
-      .Set("peak_rss_bytes", r.peak_rss_bytes)
-      .Set("snapshot_bytes", snapshot_bytes)
-      .Set("num_shards", static_cast<int64_t>(num_shards))
-      .Set("killed_shards", static_cast<int64_t>(killed_shards))
-      .Set("shard_retries", c.retries)
-      .Set("shard_hedges", c.hedges)
-      .Set("shard_failovers", c.failovers)
-      .Set("shard_degraded_responses", c.degraded_responses);
-  util::JsonObject root;
-  root.Set("schema_version", static_cast<int64_t>(2))
-      .Set("bench", "dgnn_router")
-      .Set("mode", "open")
-      .Set("preset", preset)
-      .Set("arrival", arrival)
-      .Set("workers", static_cast<int64_t>(workers))
-      .Set("dim", dim)
-      .Set("k", static_cast<int64_t>(10))
-      .Set("quant", "none")
-      .Set("index", "none")
-      .Set("nprobe", static_cast<int64_t>(0))
-      .Set("rerank", static_cast<int64_t>(0))
-      .SetRaw("points", "[" + point.Build() + "]");
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << root.Build() << "\n";
-  out.close();
-  return out.good() ? 0 : 1;
-}
 
 }  // namespace
 
@@ -277,10 +217,25 @@ int main(int argc, char** argv) {
       const int64_t resident = (router.num_users() + router.num_items()) *
                                (router.dim() + 1) *
                                static_cast<int64_t>(sizeof(float));
-      exit_code = WriteBenchJson(
-          bench_json, flags.GetString("preset", "custom"),
-          flags.GetString("arrival", "poisson"), workers, router.dim(),
-          resident, router.num_shards(), down, r, c);
+      util::JsonObject point = serve::BenchPoint(r.offered_qps, r, resident);
+      point.Set("num_shards", static_cast<int64_t>(router.num_shards()))
+          .Set("killed_shards", static_cast<int64_t>(down))
+          .Set("shard_retries", c.retries)
+          .Set("shard_hedges", c.hedges)
+          .Set("shard_failovers", c.failovers)
+          .Set("shard_degraded_responses", c.degraded_responses);
+      serve::BenchHeader header;
+      header.bench = "dgnn_router";
+      header.preset = flags.GetString("preset", "custom");
+      header.dim = router.dim();
+      header.arrival = flags.GetString("arrival", "poisson");
+      header.workers = workers;
+      util::Status written =
+          serve::WriteBenchJson(bench_json, header, {point});
+      if (!written.ok()) {
+        std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+        exit_code = 1;
+      }
     }
   } else {
     exit_reason = serve::ServeLines(backend, std::cin, std::cout);

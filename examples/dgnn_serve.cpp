@@ -28,9 +28,9 @@
 // with reason=signal, metrics/trace/run-log flush, and the process
 // exits 0.
 //
-// Flags: --snapshot=F (required), --threads=N, --cache=N,
-// --social-alpha=A, --max-inflight=N, --deadline-ms=T, --metrics-out=F,
-// --trace-out=F, --run-log=F.
+// Flags: --snapshot=F (required), --threads=N, --social-alpha=A,
+// --max-inflight=N, --deadline-ms=T, --metrics-out=F, --trace-out=F,
+// --run-log=F.
 //
 // Quantized snapshots (int8/fp16 embedding sections) load transparently.
 // When the snapshot carries an IVF index, --nprobe=N probes the top-N
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
   if (snapshot_path.empty()) {
     std::fprintf(stderr,
                  "usage: dgnn_serve --snapshot=FILE [--threads=N] "
-                 "[--cache=N] [--social-alpha=A] [--max-inflight=N] "
+                 "[--social-alpha=A] [--max-inflight=N] "
                  "[--deadline-ms=T] [--metrics-out=F] "
                  "[--metrics-flush-every-s=S] [--trace-out=F] "
                  "[--run-log=F] [--stats-out=F] [--stats-every-s=S] "
@@ -320,7 +320,6 @@ int main(int argc, char** argv) {
   }
 
   serve::EngineConfig config;
-  config.cache_capacity = static_cast<int>(flags.GetInt("cache", 4096));
   config.social_alpha =
       static_cast<float>(flags.GetDouble("social-alpha", 0.0));
   config.max_inflight = static_cast<int>(flags.GetInt("max-inflight", 0));
@@ -405,7 +404,6 @@ int main(int argc, char** argv) {
         .Set("num_users", snap->meta.num_users)
         .Set("num_items", snap->meta.num_items)
         .Set("dim", snap->meta.embedding_dim)
-        .Set("cache_capacity", static_cast<int64_t>(config.cache_capacity))
         .Set("social_alpha", static_cast<double>(config.social_alpha))
         .Set("max_inflight", static_cast<int64_t>(config.max_inflight))
         .Set("deadline_ms", config.default_deadline_ms)
@@ -509,9 +507,6 @@ int main(int argc, char** argv) {
     util::JsonObject o;
     o.Set("reason", exit_reason)
         .Set("requests", s.requests)
-        .Set("batches", s.batches)
-        .Set("cache_hits", s.cache_hits)
-        .Set("cache_misses", s.cache_misses)
         .Set("snapshot_swaps", s.snapshot_swaps)
         .Set("degraded_requests", s.degraded_requests)
         .Set("shed_requests", s.shed_requests)
@@ -521,11 +516,10 @@ int main(int argc, char** argv) {
     runlog::Close();
   }
   std::fprintf(stderr,
-               "dgnn_serve: %lld requests in %lld batches, %lld swaps, "
-               "%lld degraded, %lld shed, %lld expired (%s)\n",
-               (long long)s.requests, (long long)s.batches,
-               (long long)s.snapshot_swaps, (long long)s.degraded_requests,
-               (long long)s.shed_requests, (long long)s.expired_requests,
-               exit_reason);
+               "dgnn_serve: %lld requests, %lld swaps, %lld degraded, "
+               "%lld shed, %lld expired (%s)\n",
+               (long long)s.requests, (long long)s.snapshot_swaps,
+               (long long)s.degraded_requests, (long long)s.shed_requests,
+               (long long)s.expired_requests, exit_reason);
   return exit_code;
 }

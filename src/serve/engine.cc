@@ -13,11 +13,6 @@ namespace {
 // the repo convention (engine-internal atomics track totals regardless).
 struct ServeMetrics {
   telemetry::Counter* requests = telemetry::GetCounter("serve.requests");
-  telemetry::Counter* batches = telemetry::GetCounter("serve.batches");
-  telemetry::Counter* cache_hits =
-      telemetry::GetCounter("serve.cache_hits");
-  telemetry::Counter* cache_misses =
-      telemetry::GetCounter("serve.cache_misses");
   telemetry::Counter* swaps =
       telemetry::GetCounter("serve.snapshot_swaps");
   telemetry::Counter* degraded =
@@ -149,14 +144,6 @@ void ServingEngine::Swap(std::shared_ptr<const Snapshot> snapshot) {
       state_ = std::move(state);
     }
   }
-  {
-    // Invalidate eagerly so stale vectors don't pin the old snapshot's
-    // memory; UserVector also re-checks the version lazily.
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    lru_.clear();
-    cache_index_.clear();
-    cache_version_ = swap_count_.load(std::memory_order_relaxed);
-  }
   if (telemetry::Enabled()) Metrics().swaps->Add(1);
 }
 
@@ -274,10 +261,7 @@ Response ServingEngine::Handle(const Request& request) {
     return std::move(slot.response);
   }
   n_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) {
-    Metrics().requests->Add(1);
-    Metrics().batches->Add(1);
-  }
+  if (telemetry::Enabled()) Metrics().requests->Add(1);
   ExecuteSlot(AcquireState().get(), &slot);
   const int64_t left = inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
   if (telemetry::Enabled()) {
@@ -356,54 +340,6 @@ std::vector<float> ServingEngine::ComputeUserVector(const State& state,
     vec[static_cast<size_t>(c)] =
         (1.0f - alpha) * vec[static_cast<size_t>(c)] +
         alpha * mean[static_cast<size_t>(c)] * inv;
-  }
-  return vec;
-}
-
-std::vector<float> ServingEngine::UserVector(const State& state,
-                                             int32_t user) {
-  if (config_.cache_capacity <= 0) return ComputeUserVector(state, user);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_version_ == state.version) {
-      auto it = cache_index_.find(user);
-      if (it != cache_index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        n_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry::Enabled()) Metrics().cache_hits->Add(1);
-        return it->second->second;  // copy out under the lock
-      }
-    }
-  }
-  // Miss: compute outside the lock, then insert (last writer wins; a
-  // racing duplicate insert for the same user computes the same vector).
-  std::vector<float> vec = ComputeUserVector(state, user);
-  n_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) Metrics().cache_misses->Add(1);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_version_ != state.version) {
-      // A swap happened while computing; don't poison the new cache with
-      // an old-snapshot vector.
-      if (cache_version_ < state.version) {
-        lru_.clear();
-        cache_index_.clear();
-        cache_version_ = state.version;
-      } else {
-        return vec;
-      }
-    }
-    auto it = cache_index_.find(user);
-    if (it != cache_index_.end()) {
-      lru_.erase(it->second);
-      cache_index_.erase(it);
-    }
-    lru_.emplace_front(user, vec);
-    cache_index_[user] = lru_.begin();
-    while (lru_.size() > static_cast<size_t>(config_.cache_capacity)) {
-      cache_index_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
   }
   return vec;
 }
@@ -511,7 +447,7 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       }
       Clock::time_point t0;
       if (stages != nullptr) t0 = Clock::now();
-      const std::vector<float> vec = UserVector(*state, request.user);
+      const std::vector<float> vec = ComputeUserVector(*state, request.user);
       if (stages != nullptr) {
         stages->recal_seconds = Seconds(t0, Clock::now());
       }
@@ -537,7 +473,7 @@ Response ServingEngine::Execute(const State* state, const Request& request,
       }
       Clock::time_point t0;
       if (stages != nullptr) t0 = Clock::now();
-      const std::vector<float> vec = UserVector(*state, request.user);
+      const std::vector<float> vec = ComputeUserVector(*state, request.user);
       Clock::time_point t1;
       if (stages != nullptr) {
         t1 = Clock::now();
@@ -570,7 +506,7 @@ Response ServingEngine::Execute(const State* state, const Request& request,
         CountDegraded();
         break;
       }
-      resp.vector = UserVector(*state, request.user);
+      resp.vector = ComputeUserVector(*state, request.user);
       resp.vector_norm =
           state->user_norms[static_cast<size_t>(local_user)];
       break;
@@ -637,8 +573,6 @@ EngineStats ServingEngine::stats() const {
   EngineStats s;
   s.requests = n_requests_.load(std::memory_order_relaxed);
   s.batches = s.requests;
-  s.cache_hits = n_cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = n_cache_misses_.load(std::memory_order_relaxed);
   s.snapshot_swaps = swap_count_.load(std::memory_order_relaxed);
   s.degraded_requests = n_degraded_.load(std::memory_order_relaxed);
   s.shed_requests = n_shed_.load(std::memory_order_relaxed);
@@ -700,8 +634,6 @@ void ServingEngine::SampleOnce(double seconds) {
   const int64_t failed = n_failed_.load(std::memory_order_relaxed);
   const int64_t degraded = n_degraded_.load(std::memory_order_relaxed);
   const int64_t swaps = swap_count_.load(std::memory_order_relaxed);
-  const int64_t hits = n_cache_hits_.load(std::memory_order_relaxed);
-  const int64_t misses = n_cache_misses_.load(std::memory_order_relaxed);
   telemetry::WindowedStats::Sample smp;
   smp.seconds = seconds > 0.0 ? seconds : 1.0;
   const int64_t d_exec = requests - cursor_.requests;
@@ -716,8 +648,6 @@ void ServingEngine::SampleOnce(double seconds) {
   smp.ok = std::max<int64_t>(0, d_exec - smp.expired - smp.failed);
   smp.degraded = degraded - cursor_.degraded;
   smp.swaps = swaps - cursor_.swaps;
-  smp.cache_hits = hits - cursor_.cache_hits;
-  smp.cache_misses = misses - cursor_.cache_misses;
   smp.latency = e2e_hist_.SnapshotDelta(&cursor_.latency);
   smp.queue_depth = inflight_.load(std::memory_order_relaxed);
   cursor_.requests = requests;
@@ -726,8 +656,6 @@ void ServingEngine::SampleOnce(double seconds) {
   cursor_.failed = failed;
   cursor_.degraded = degraded;
   cursor_.swaps = swaps;
-  cursor_.cache_hits = hits;
-  cursor_.cache_misses = misses;
   windows_->Push(smp);
 }
 

@@ -13,9 +13,10 @@
 //    running; concurrent callers run side by side (each ranking scan
 //    goes through the shared util::ThreadPool, or runs serially on the
 //    caller while another region holds the pool).
-//  - LRU cache of the per-user scoring vector (the social-recalibrated
-//    user embedding when social_alpha > 0, the raw row otherwise),
-//    invalidated wholesale on snapshot swap.
+//  - Stateless recalibration. The per-user scoring vector (the
+//    social-recalibrated user embedding when social_alpha > 0, the raw
+//    row otherwise) is recomputed from the serving snapshot on every
+//    request, so nothing outlives a swap.
 //  - Graceful degradation. Unknown/cold users get the popularity ranking
 //    (train interaction counts from the snapshot) instead of an error;
 //    responses carry a `degraded` flag. Malformed requests (k <= 0,
@@ -33,11 +34,10 @@
 //    (TopKUnseen) or one cosine ranker (TopKSimilar), whatever the
 //    storage format.
 //
-// Telemetry (when telemetry::Enabled()): counters serve.cache_hits,
-// serve.cache_misses, serve.snapshot_swaps, serve.degraded_requests,
-// serve.requests, serve.batches, serve.shed_requests,
-// serve.expired_requests, serve.failed_requests (serve.batches counts
-// one per request); gauge serve.queue_depth (requests in flight);
+// Telemetry (when telemetry::Enabled()): counters serve.requests,
+// serve.snapshot_swaps, serve.degraded_requests, serve.shed_requests,
+// serve.expired_requests, serve.failed_requests; gauge
+// serve.queue_depth (requests in flight);
 // histograms serve.e2e_seconds (admission ->
 // response handoff, shed included) and the per-stage breakdown
 // serve.stage.{queue,recal,compute,rank,reply}_seconds, whose per-stage
@@ -61,12 +61,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -84,8 +82,6 @@ namespace dgnn::serve {
 inline constexpr int64_t kMaxDeadlineMs = 24LL * 3600 * 1000;
 
 struct EngineConfig {
-  // LRU entries for per-user scoring vectors; <= 0 disables the cache.
-  int cache_capacity = 4096;
   // Serve-time social recalibration (DiffNet-style influence smoothing
   // without re-running the encoder): the scoring vector becomes
   // (1 - alpha) * e_u + alpha * mean(e_v for social neighbors v). 0 keeps
@@ -186,7 +182,7 @@ struct Response {
 // One sampled request's stage breakdown, pushed to the trace sink set by
 // SetTraceSink(). Stage seconds partition the request's lifetime:
 // queue (admission -> execution start, which includes any pre-execution
-// stall), recal (user-vector recalibration / cache lookup), compute
+// stall), recal (user scoring-vector computation), compute
 // (parallel catalog scan), rank (filter + top-k select), reply
 // (execution end -> response handoff). Their sum is <= total_seconds by
 // construction (per-request bookkeeping is the remainder).
@@ -210,10 +206,12 @@ struct RequestTrace {
 };
 
 // Monotonic totals since construction (independent of telemetry being
-// enabled); hit/miss only move when the cache is enabled.
+// enabled).
 struct EngineStats {
   int64_t requests = 0;
-  // Equals requests: every request executes on its own.
+  // perfbench's serve tally reads these three, so they stay: batches
+  // equals requests (every request executes on its own), and cache_hits
+  // and cache_misses are always 0 (every scoring vector is recomputed).
   int64_t batches = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -241,7 +239,7 @@ class ServingEngine {
   util::Status Load(const std::string& path);
 
   // Swaps in an already-built snapshot. In-flight requests complete on
-  // the old one; the user-vector cache is invalidated.
+  // the old one.
   void Swap(std::shared_ptr<const Snapshot> snapshot);
 
   // Snapshot currently being served (nullptr before the first Load/Swap).
@@ -379,9 +377,7 @@ class ServingEngine {
   // One sampler tick: pushes the counter/latency deltas since the
   // previous tick into windows_ as a sample of `seconds` duration.
   void SampleOnce(double seconds);
-  // The (possibly recalibrated) vector used to score for `user`, served
-  // from the LRU cache when enabled.
-  std::vector<float> UserVector(const State& state, int32_t user);
+  // The (possibly recalibrated) vector used to score for `user`.
   std::vector<float> ComputeUserVector(const State& state,
                                        int32_t user) const;
   void CountDegraded();
@@ -395,20 +391,7 @@ class ServingEngine {
   // Requests between Enter() and the end of Handle().
   std::atomic<int64_t> inflight_{0};
 
-  // LRU: most-recently-used at the front. Guarded by cache_mu_; the
-  // cached vectors belong to snapshot version cache_version_ and are
-  // dropped wholesale when it trails the active state.
-  mutable std::mutex cache_mu_;
-  std::list<std::pair<int32_t, std::vector<float>>> lru_;
-  std::unordered_map<int32_t,
-                     std::list<std::pair<int32_t, std::vector<float>>>::
-                         iterator>
-      cache_index_;
-  int64_t cache_version_ = 0;
-
   std::atomic<int64_t> n_requests_{0};
-  std::atomic<int64_t> n_cache_hits_{0};
-  std::atomic<int64_t> n_cache_misses_{0};
   std::atomic<int64_t> n_degraded_{0};
   std::atomic<int64_t> n_shed_{0};
   std::atomic<int64_t> n_expired_{0};
@@ -433,7 +416,7 @@ class ServingEngine {
   // SampleOnce touches it, serialized by sample_mu_.
   struct SampleCursor {
     int64_t requests = 0, shed = 0, expired = 0, failed = 0;
-    int64_t degraded = 0, swaps = 0, cache_hits = 0, cache_misses = 0;
+    int64_t degraded = 0, swaps = 0;
     telemetry::Histogram::Counts latency;
   };
   std::mutex sample_mu_;

@@ -6,13 +6,12 @@
 namespace dgnn::serve::observe {
 namespace {
 
-// The flat counter fields every stats payload must carry (the original
-// `stats` op contract plus failed_requests); order is the exposition
-// order.
+// The flat counter fields every stats payload must carry; order is the
+// exposition order. Older payloads also carry batches, cache_hits and
+// cache_misses, which validation ignores.
 constexpr const char* kCounterFields[] = {
-    "requests",          "batches",          "cache_hits",
-    "cache_misses",      "snapshot_swaps",   "degraded_requests",
-    "shed_requests",     "expired_requests", "failed_requests",
+    "requests",      "snapshot_swaps",   "degraded_requests",
+    "shed_requests", "expired_requests", "failed_requests",
 };
 
 constexpr const char* kWindowNames[] = {"1s", "10s", "60s"};
@@ -21,10 +20,9 @@ constexpr const char* kWindowNames[] = {"1s", "10s", "60s"};
 // and quantiles; the raw per-window counts are derivable from the
 // *_total counters by the scraper).
 constexpr const char* kWindowGauges[] = {
-    "qps",     "availability", "cache_hit_rate",
-    "p50_ms",  "p95_ms",       "p99_ms",
-    "mean_ms", "queue_depth",  "p99_violations",
-    "availability_violations",
+    "qps",         "availability",   "p50_ms",
+    "p95_ms",      "p99_ms",         "mean_ms",
+    "queue_depth", "p99_violations", "availability_violations",
 };
 
 std::string FormatNumber(double v) {
@@ -49,12 +47,9 @@ std::string WindowJson(
       .Set("failed", w.failed)
       .Set("degraded", w.degraded)
       .Set("swaps", w.swaps)
-      .Set("cache_hits", w.cache_hits)
-      .Set("cache_misses", w.cache_misses)
       .Set("queue_depth", w.queue_depth)
       .Set("qps", w.qps)
       .Set("availability", w.availability)
-      .Set("cache_hit_rate", w.cache_hit_rate)
       .Set("p50_ms", w.p50_ms)
       .Set("p95_ms", w.p95_ms)
       .Set("p99_ms", w.p99_ms)
@@ -68,9 +63,6 @@ std::string WindowJson(
 void AppendStatsFields(const ServingEngine& engine, util::JsonObject* o) {
   const EngineStats s = engine.stats();
   o->Set("requests", s.requests)
-      .Set("batches", s.batches)
-      .Set("cache_hits", s.cache_hits)
-      .Set("cache_misses", s.cache_misses)
       .Set("snapshot_swaps", s.snapshot_swaps)
       .Set("degraded_requests", s.degraded_requests)
       .Set("shed_requests", s.shed_requests)

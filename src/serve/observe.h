@@ -23,8 +23,8 @@
 
 namespace dgnn::serve::observe {
 
-// Appends the stats payload fields to `o`: the flat EngineStats fields
-// (wire-compatible with the pre-observability `stats` op), then
+// Appends the stats payload fields to `o`: the flat EngineStats
+// counters (requests, snapshot_swaps and the outcome counts), then
 // "windows" ({"1s":{...},"10s":{...},"60s":{...}}) and "slo". Callers
 // add protocol fields (ok/op) or a timestamp themselves.
 void AppendStatsFields(const ServingEngine& engine, util::JsonObject* o);

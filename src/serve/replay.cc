@@ -8,6 +8,8 @@
 #include <cmath>
 #include <thread>
 
+#include "util/fs.h"
+
 namespace dgnn::serve {
 namespace {
 
@@ -168,6 +170,59 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
       all_ms.empty() ? 0.0 : sum / static_cast<double>(all_ms.size());
   result.peak_rss_bytes = PeakRssBytes();
   return result;
+}
+
+util::JsonObject BenchPoint(double target_qps, const ReplayResult& r,
+                            int64_t snapshot_bytes) {
+  util::JsonObject o;
+  o.Set("target_qps", target_qps)
+      .Set("requests", r.requests)
+      .Set("seconds", r.seconds)
+      .Set("offered_qps", r.offered_qps)
+      .Set("achieved_qps", r.achieved_qps)
+      .Set("p50_ms", r.p50_ms)
+      .Set("p95_ms", r.p95_ms)
+      .Set("p99_ms", r.p99_ms)
+      .Set("max_ms", r.max_ms)
+      .Set("mean_ms", r.mean_ms)
+      .Set("ok", r.ok)
+      .Set("degraded", r.degraded)
+      .Set("shed", r.shed)
+      .Set("expired", r.expired)
+      .Set("failed", r.failed)
+      .Set("late_dispatches", r.late_dispatches)
+      .Set("max_lateness_ms", r.max_lateness_ms)
+      .Set("peak_rss_bytes", r.peak_rss_bytes)
+      .Set("distinct_trace_ids", r.distinct_trace_ids)
+      .Set("snapshot_bytes", snapshot_bytes);
+  return o;
+}
+
+util::Status WriteBenchJson(const std::string& path,
+                            const BenchHeader& header,
+                            const std::vector<util::JsonObject>& points) {
+  std::string arr = "[";
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (i > 0) arr += ',';
+    arr += points[i].Build();
+  }
+  arr += ']';
+  util::JsonObject o;
+  o.Set("schema_version", 2)
+      .Set("bench", header.bench)
+      .Set("mode", "open")
+      .Set("preset", header.preset)
+      .Set("dim", header.dim)
+      .Set("k", header.k)
+      .Set("quant", header.quant)
+      .Set("index", header.index)
+      .Set("nprobe", header.nprobe)
+      .Set("rerank", header.rerank)
+      .Set("arrival", header.arrival)
+      .Set("workers", header.workers);
+  if (!header.mix.empty()) o.Set("mix", header.mix);
+  o.SetRaw("points", arr);
+  return fs::AtomicWriteFile(path, o.Build() + "\n");
 }
 
 }  // namespace dgnn::serve

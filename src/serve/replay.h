@@ -37,10 +37,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "serve/engine.h"
 #include "serve/trace.h"
+#include "util/json.h"
+#include "util/status.h"
 
 namespace dgnn::serve {
 
@@ -102,6 +105,35 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
 // Process-wide peak resident set size in bytes (getrusage ru_maxrss);
 // exposed for benches that report memory alongside latency.
 int64_t PeakRssBytes();
+
+// --bench-json files (schema_version 2, open mode, validated by
+// `dgnn_inspect bench`), written by bench_serve_load and dgnn_router.
+// The header names the run and the storage it served from.
+struct BenchHeader {
+  std::string bench;  // "bench_serve_load" or "dgnn_router"
+  std::string preset;
+  int64_t dim = 0;
+  int k = 10;
+  std::string quant = "none";
+  bool index = false;
+  int nprobe = 0;
+  int rerank = 0;
+  std::string arrival = "poisson";
+  int workers = 0;
+  // Request mix the trace was generated with; empty leaves it out
+  // (dgnn_router replays trace files of any mix).
+  std::string mix;
+};
+
+// One point: target_qps, every ReplayResult field and snapshot_bytes.
+// Callers add their own fields before passing it to WriteBenchJson.
+util::JsonObject BenchPoint(double target_qps, const ReplayResult& r,
+                            int64_t snapshot_bytes);
+
+// Writes the header and points to `path` atomically.
+util::Status WriteBenchJson(const std::string& path,
+                            const BenchHeader& header,
+                            const std::vector<util::JsonObject>& points);
 
 }  // namespace dgnn::serve
 

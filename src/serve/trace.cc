@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "serve/snapshot.h"  // internal::Fnv1a64
+#include "util/bytes.h"
 #include "util/fs.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -11,6 +12,7 @@
 namespace dgnn::serve {
 namespace {
 
+using util::AppendPod;
 using util::Status;
 using util::StatusOr;
 
@@ -18,20 +20,6 @@ constexpr char kMagic[8] = {'D', 'G', 'N', 'N', 'T', 'R', 'C', '1'};
 constexpr size_t kHeaderBytes = 8 + 8 + 8;  // magic + seed + count
 constexpr size_t kRecordBytes = 8 + 1 + 4 + 4 + 4;
 constexpr size_t kChecksumBytes = 8;
-
-template <typename T>
-void AppendLE(std::string* out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-T ReadLE(const char* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
 
 // Instantaneous rate of the schedule at time t (seconds), and the
 // schedule's maximum rate — the thinning envelope.
@@ -170,16 +158,16 @@ std::string SerializeTrace(const Trace& trace) {
   out.reserve(kHeaderBytes + kRecordBytes * trace.records.size() +
               kChecksumBytes);
   out.append(kMagic, sizeof(kMagic));
-  AppendLE<uint64_t>(&out, trace.seed);
-  AppendLE<uint64_t>(&out, trace.records.size());
+  AppendPod<uint64_t>(out, trace.seed);
+  AppendPod<uint64_t>(out, trace.records.size());
   for (const TraceRecord& r : trace.records) {
-    AppendLE<int64_t>(&out, r.arrival_ns);
-    out.push_back(static_cast<char>(r.type));
-    AppendLE<int32_t>(&out, r.user);
-    AppendLE<int32_t>(&out, r.item);
-    AppendLE<int32_t>(&out, r.k);
+    AppendPod<int64_t>(out, r.arrival_ns);
+    AppendPod<uint8_t>(out, r.type);
+    AppendPod<int32_t>(out, r.user);
+    AppendPod<int32_t>(out, r.item);
+    AppendPod<int32_t>(out, r.k);
   }
-  AppendLE<uint64_t>(&out, internal::Fnv1a64(out.data(), out.size()));
+  AppendPod<uint64_t>(out, internal::Fnv1a64(out.data(), out.size()));
   return out;
 }
 
@@ -196,34 +184,38 @@ StatusOr<Trace> ReadTrace(const std::string& path) {
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(path + ": not a DGNNTRC1 trace");
   }
-  const uint64_t checksum = internal::Fnv1a64(
-      bytes.data(), bytes.size() - kChecksumBytes);
-  if (ReadLE<uint64_t>(bytes.data() + bytes.size() - kChecksumBytes) !=
-      checksum) {
+  const size_t body = bytes.size() - kChecksumBytes;
+  util::Cursor tail{bytes.data() + body, kChecksumBytes};
+  uint64_t checksum = 0;
+  tail.ReadPod(&checksum);
+  if (checksum != internal::Fnv1a64(bytes.data(), body)) {
     return Status::InvalidArgument(path + ": trace checksum mismatch");
   }
-  const uint64_t count = ReadLE<uint64_t>(bytes.data() + 16);
-  const uint64_t want =
-      kHeaderBytes + kRecordBytes * count + kChecksumBytes;
-  if (bytes.size() != want) {
+  Trace trace;
+  uint64_t count = 0;
+  util::Cursor cur{bytes.data(), body, sizeof(kMagic)};
+  cur.ReadPod(&trace.seed);
+  cur.ReadPod(&count);
+  // Divides rather than multiplies: a hostile count must not wrap the
+  // expected length around to the real one.
+  const size_t record_bytes = body - kHeaderBytes;
+  if (record_bytes % kRecordBytes != 0 ||
+      count != record_bytes / kRecordBytes) {
     return Status::InvalidArgument(util::StrFormat(
         "%s: trace length %llu does not match record count %llu",
         path.c_str(), (unsigned long long)bytes.size(),
         (unsigned long long)count));
   }
 
-  Trace trace;
-  trace.seed = ReadLE<uint64_t>(bytes.data() + 8);
   trace.records.reserve(count);
   int64_t prev_arrival = 0;
-  const char* p = bytes.data() + kHeaderBytes;
-  for (uint64_t i = 0; i < count; ++i, p += kRecordBytes) {
+  for (uint64_t i = 0; i < count; ++i) {
     TraceRecord r;
-    r.arrival_ns = ReadLE<int64_t>(p);
-    r.type = static_cast<uint8_t>(p[8]);
-    r.user = ReadLE<int32_t>(p + 9);
-    r.item = ReadLE<int32_t>(p + 13);
-    r.k = ReadLE<int32_t>(p + 17);
+    cur.ReadPod(&r.arrival_ns);
+    cur.ReadPod(&r.type);
+    cur.ReadPod(&r.user);
+    cur.ReadPod(&r.item);
+    cur.ReadPod(&r.k);
     if (r.type > 2) {
       return Status::InvalidArgument(util::StrFormat(
           "%s: record %llu has invalid type %d", path.c_str(),

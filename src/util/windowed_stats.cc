@@ -56,8 +56,6 @@ WindowedStats::WindowAggregate WindowedStats::Aggregate(int ticks) const {
     agg.failed += s.failed;
     agg.degraded += s.degraded;
     agg.swaps += s.swaps;
-    agg.cache_hits += s.cache_hits;
-    agg.cache_misses += s.cache_misses;
     for (int b = 0; b < Histogram::kNumBuckets; ++b) {
       latency.buckets[b] += s.latency.buckets[b];
     }
@@ -75,11 +73,6 @@ WindowedStats::WindowAggregate WindowedStats::Aggregate(int ticks) const {
   if (agg.requests > 0) {
     agg.availability =
         static_cast<double>(agg.ok) / static_cast<double>(agg.requests);
-  }
-  const int64_t lookups = agg.cache_hits + agg.cache_misses;
-  if (lookups > 0) {
-    agg.cache_hit_rate =
-        static_cast<double>(agg.cache_hits) / static_cast<double>(lookups);
   }
   if (latency.count > 0) {
     agg.p50_ms = Histogram::QuantileFromCounts(latency, 0.50) * 1e3;

@@ -49,8 +49,6 @@ class WindowedStats {
     int64_t failed = 0;
     int64_t degraded = 0;
     int64_t swaps = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
     int64_t queue_depth = 0;
     Histogram::Counts latency;
     // Stamped by Push() from Config; callers leave these false.
@@ -69,12 +67,9 @@ class WindowedStats {
     int64_t failed = 0;
     int64_t degraded = 0;
     int64_t swaps = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
     int64_t queue_depth = 0;  // newest sample's gauge
     double qps = 0.0;
-    double availability = 1.0;    // ok / requests; 1 when idle
-    double cache_hit_rate = 0.0;  // hits / (hits + misses); 0 when idle
+    double availability = 1.0;  // ok / requests; 1 when idle
     double p50_ms = 0.0;
     double p95_ms = 0.0;
     double p99_ms = 0.0;

@@ -328,8 +328,7 @@ TEST(ObservabilityExpositionTest, CorruptedStatsPayloadsAreRejected) {
   // A valid payload with windows but a truncated window set also fails.
   EXPECT_FALSE(
       serve::observe::ValidateStatsJson(
-          "{\"requests\":0,\"batches\":0,\"cache_hits\":0,"
-          "\"cache_misses\":0,\"snapshot_swaps\":0,"
+          "{\"requests\":0,\"snapshot_swaps\":0,"
           "\"degraded_requests\":0,\"shed_requests\":0,"
           "\"expired_requests\":0,\"failed_requests\":0,"
           "\"windows\":{},\"slo\":{}}")

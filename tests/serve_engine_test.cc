@@ -1,9 +1,9 @@
 // Tests for the online ServingEngine: ranking tie-breaks, bit-identical
 // parity with the direct train::Recommender across thread counts and
-// concurrent callers, graceful degradation for unknown users, the LRU
-// cache and its swap invalidation, telemetry counters, the in-flight
-// bound and the one-request-per-caller rule, and zero-downtime hot swap
-// under concurrent readers (the TSan job runs this suite too).
+// concurrent callers, graceful degradation for unknown users, social
+// recalibration across a swap, telemetry counters, the in-flight bound
+// and the one-request-per-caller rule, and zero-downtime hot swap under
+// concurrent readers (the TSan job runs this suite too).
 
 #include <atomic>
 #include <chrono>
@@ -201,52 +201,6 @@ TEST_F(ServeEngineTest, HugeDefaultDeadlineIsCappedNotOverflowed) {
   EXPECT_EQ(engine.stats().expired_requests, 0);
 }
 
-TEST_F(ServeEngineTest, CacheHitsMissesAndSwapInvalidation) {
-  telemetry::SetEnabled(true);
-  telemetry::Reset();
-  serve::EngineConfig config;
-  config.cache_capacity = 8;
-  ServingEngine engine(config);
-  engine.Swap(snapshot_);
-
-  engine.Handle(TopKRequest(1, 5));  // cold: miss
-  engine.Handle(TopKRequest(1, 5));  // warm: hit
-  engine.Handle(TopKRequest(2, 5));  // different user: miss
-  EXPECT_EQ(engine.stats().cache_hits, 1);
-  EXPECT_EQ(engine.stats().cache_misses, 2);
-
-  // Hot swap invalidates every cached vector.
-  engine.Swap(snapshot_);
-  engine.Handle(TopKRequest(1, 5));  // miss again after swap
-  EXPECT_EQ(engine.stats().cache_hits, 1);
-  EXPECT_EQ(engine.stats().cache_misses, 3);
-  EXPECT_EQ(engine.stats().snapshot_swaps, 2);
-
-  EXPECT_EQ(telemetry::GetCounter("serve.cache_hits")->value(), 1);
-  EXPECT_EQ(telemetry::GetCounter("serve.cache_misses")->value(), 3);
-  EXPECT_EQ(telemetry::GetCounter("serve.snapshot_swaps")->value(), 2);
-
-  // LRU eviction: touch more users than the capacity, then re-touch the
-  // first — it must have been evicted (another miss). User 1 is still
-  // cached from above, so the sweep of 9 users gets exactly one hit.
-  telemetry::Reset();
-  for (int32_t u = 0; u < 9; ++u) engine.Handle(TopKRequest(u, 3));
-  engine.Handle(TopKRequest(0, 3));
-  EXPECT_EQ(telemetry::GetCounter("serve.cache_hits")->value(), 1);
-  EXPECT_EQ(telemetry::GetCounter("serve.cache_misses")->value(), 9);
-  telemetry::SetEnabled(false);
-}
-
-TEST_F(ServeEngineTest, DisabledCacheCountsOnlyMisses) {
-  serve::EngineConfig config;
-  config.cache_capacity = 0;
-  ServingEngine engine(config);
-  engine.Swap(snapshot_);
-  engine.Handle(TopKRequest(1, 5));
-  engine.Handle(TopKRequest(1, 5));
-  EXPECT_EQ(engine.stats().cache_hits, 0);
-}
-
 TEST_F(ServeEngineTest, RequestLatencyHistogramRecorded) {
   telemetry::SetEnabled(true);
   telemetry::Reset();
@@ -262,6 +216,9 @@ TEST_F(ServeEngineTest, RequestLatencyHistogramRecorded) {
   EXPECT_GE(latency->ApproxQuantileSeconds(0.99),
             latency->ApproxQuantileSeconds(0.50));
   EXPECT_EQ(telemetry::GetCounter("serve.requests")->value(), kRequests);
+  engine.Swap(snapshot_);
+  EXPECT_EQ(engine.stats().snapshot_swaps, 2);
+  EXPECT_EQ(telemetry::GetCounter("serve.snapshot_swaps")->value(), 2);
   telemetry::SetEnabled(false);
 }
 
@@ -287,6 +244,52 @@ TEST_F(ServeEngineTest, SocialRecalibrationChangesScoresOnlyWhenEnabled) {
   const Response blended = engine.Handle(score_req);
   ASSERT_TRUE(blended.ok);
   EXPECT_NE(blended.score, recommender_.Score(social_user, 0));
+}
+
+TEST_F(ServeEngineTest, SocialRecalibrationFollowsASwap) {
+  // The recalibrated vector blends the neighbours' rows of the snapshot
+  // that serves the request: after a swap to different user rows, topk
+  // and score must match a fresh engine over the new snapshot bit for
+  // bit, never an answer computed from the old rows.
+  auto scaled = std::make_shared<Snapshot>(*snapshot_);
+  ag::Tensor users = scaled->users;
+  users.Scale(2.0f);
+  scaled->users = users;
+  std::shared_ptr<const Snapshot> snap_v2 = scaled;
+  int32_t social_user = -1;
+  for (int32_t u = 0; u < dataset_.num_users; ++u) {
+    if (!snapshot_->social[static_cast<size_t>(u)].empty()) {
+      social_user = u;
+      break;
+    }
+  }
+  ASSERT_GE(social_user, 0) << "tiny dataset has no social ties";
+  serve::EngineConfig config;
+  config.social_alpha = 0.5f;
+  Request score_req;
+  score_req.type = Request::Type::kScore;
+  score_req.user = social_user;
+  score_req.item = 0;
+
+  ServingEngine engine(config);
+  engine.Swap(snapshot_);
+  const Response old_score = engine.Handle(score_req);
+  engine.Swap(snap_v2);
+  const Response topk = engine.Handle(TopKRequest(social_user, 10));
+  const Response score = engine.Handle(score_req);
+
+  ServingEngine fresh(config);
+  fresh.Swap(snap_v2);
+  const Response want_topk = fresh.Handle(TopKRequest(social_user, 10));
+  const Response want_score = fresh.Handle(score_req);
+  ASSERT_TRUE(topk.ok && score.ok && want_topk.ok && want_score.ok);
+  ASSERT_EQ(topk.items.size(), want_topk.items.size());
+  for (size_t i = 0; i < want_topk.items.size(); ++i) {
+    EXPECT_EQ(topk.items[i].item, want_topk.items[i].item);
+    EXPECT_EQ(topk.items[i].score, want_topk.items[i].score);
+  }
+  EXPECT_EQ(score.score, want_score.score);
+  EXPECT_NE(score.score, old_score.score);
 }
 
 TEST_F(ServeEngineTest, ConcurrentHandleCallsEachRunOnTheirCaller) {

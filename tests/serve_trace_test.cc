@@ -213,6 +213,22 @@ TEST_F(TraceCorruptionTest, CountMismatchRejected) {
   ExpectRejected(bad, "count mismatch");
 }
 
+TEST_F(TraceCorruptionTest, CountWhoseLengthWrapsRejected) {
+  // One stray byte before the checksum, and a count whose 21-byte
+  // records wrap around 2^64 to exactly the stray length: 21 is odd, so
+  // it has an inverse mod 2^64. Multiplying count by the record size
+  // would accept this file and then read past its end.
+  std::string bad = bytes_;
+  bad.insert(bad.size() - 8, 1, '\0');
+  uint64_t inverse = 21;
+  for (int i = 0; i < 5; ++i) inverse *= 2 - 21 * inverse;
+  const uint64_t count = (bad.size() - 24 - 8) * inverse;
+  ASSERT_EQ(count * 21, bad.size() - 24 - 8);
+  std::memcpy(bad.data() + 16, &count, 8);
+  FixChecksum(&bad);
+  ExpectRejected(bad, "count wrapping the length");
+}
+
 TEST_F(TraceCorruptionTest, NonMonotoneArrivalRejected) {
   // Swap the arrival times of records 0 and 1 (record 1's arrival goes
   // backwards); checksum fixed so the monotonicity validator must fire.
