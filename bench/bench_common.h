@@ -13,7 +13,6 @@
 #include "core/model_zoo.h"
 #include "data/synthetic.h"
 #include "graph/hetero_graph.h"
-#include "kernels/kernels.h"
 #include "train/trainer.h"
 #include "util/flags.h"
 #include "util/run_log.h"
@@ -68,11 +67,6 @@ inline void FlushTelemetryOutputs() {
 }  // namespace internal
 
 inline void SetupTelemetryFromFlags(const util::Flags& flags) {
-  // Kernel numeric mode, honored by every bench: --deterministic=1
-  // (default) keeps bit-identical serial accumulation; --deterministic=0
-  // lets the dispatched SIMD kernels use FMA and relaxed accumulation
-  // order. The ISA itself is picked at runtime (override: DGNN_SIMD env).
-  kernels::SetDeterministic(flags.GetBool("deterministic", true));
   internal::MetricsOutPath() = flags.GetString("metrics-out", "");
   internal::TraceOutPath() = flags.GetString("trace-out", "");
   const std::string run_log = flags.GetString("run-log", "");

@@ -1,15 +1,13 @@
 // Microbenchmarks of the kernels behind Section IV-D's complexity claims:
 // SpMM propagation (O(|E| d)), dense transforms (O(|V| d^2)), the memory
 // encoder (O(|V| |M| d^2 + |M| |E| d)) and segment softmax (O(|E|)), plus
-// direct GEMM/SpMM kernel sweeps over transpose combination and numeric
-// mode (deterministic vs fast). All kernels dispatch to the active ISA
-// variant (shown in each benchmark's label); force a level with the
-// DGNN_SIMD env var to compare — e.g. DGNN_SIMD=off vs DGNN_SIMD=avx2 is
-// the speedup quoted in EXPERIMENTS.md.
+// direct GEMM/SpMM kernel sweeps over transpose combination and feature
+// width. All kernels dispatch to the active ISA variant (shown in the
+// kernel sweeps' label); force a level with the DGNN_SIMD env var to
+// compare — e.g. DGNN_SIMD=off vs DGNN_SIMD=avx2 is the speedup quoted
+// in EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
-
-#include <string>
 
 #include "ag/tape.h"
 #include "core/memory_encoder.h"
@@ -22,11 +20,6 @@ namespace {
 using dgnn::ag::ParamStore;
 using dgnn::ag::Tape;
 using dgnn::ag::Tensor;
-
-std::string ModeLabel(bool det) {
-  return std::string(dgnn::kernels::IsaName(dgnn::kernels::ActiveIsa())) +
-         (det ? "/det" : "/fast");
-}
 
 struct Fixture {
   Fixture() : dataset(dgnn::data::GenerateSynthetic(MakeConfig())),
@@ -48,20 +41,6 @@ Fixture& GetFixture() {
   static Fixture* fixture = new Fixture();
   return *fixture;
 }
-
-void BM_SpMM(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  const int64_t d = state.range(0);
-  dgnn::util::Rng rng(1);
-  Tensor x = Tensor::GaussianInit(f.adj.cols(), d, 0.1f, rng);
-  Tensor y(f.adj.rows(), d);
-  for (auto _ : state) {
-    f.adj.Multiply(x.data(), d, y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.adj.nnz() * d);
-}
-BENCHMARK(BM_SpMM)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_DenseTransform(benchmark::State& state) {
   const int64_t d = state.range(0);
@@ -128,13 +107,12 @@ void BM_MemoryEncoderTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryEncoderTrainStep)->Arg(2)->Arg(8);
 
-// Raw dispatched GEMM, every transpose combination, deterministic and
-// fast mode. Shapes mirror the library's real call sites: tall-skinny
-// activations (nodes x d) against square d x d weights.
+// Raw dispatched GEMM, every transpose combination. Shapes mirror the
+// library's real call sites: tall-skinny activations (nodes x d) against
+// square d x d weights.
 void BM_GemmKernel(benchmark::State& state) {
   const bool ta = state.range(0) != 0;
   const bool tb = state.range(1) != 0;
-  const bool det = state.range(2) != 0;
   const int64_t rows = 8192;
   const int64_t d = 32;
   dgnn::util::Rng rng(6);
@@ -143,36 +121,32 @@ void BM_GemmKernel(benchmark::State& state) {
                 : Tensor::GaussianInit(rows, d, 0.1f, rng);
   Tensor b = Tensor::GaussianInit(d, d, 0.1f, rng);
   Tensor out(rows, d);
-  dgnn::kernels::SetDeterministic(det);
   for (auto _ : state) {
     dgnn::kernels::GemmAcc(a.data(), a.rows(), a.cols(), ta, b.data(),
                            b.rows(), b.cols(), tb, out.data());
     benchmark::DoNotOptimize(out.data());
   }
-  dgnn::kernels::SetDeterministic(true);
-  state.SetLabel(ModeLabel(det));
+  state.SetLabel(dgnn::kernels::IsaName(dgnn::kernels::ActiveIsa()));
   state.SetItemsProcessed(state.iterations() * rows * d * d);
 }
-BENCHMARK(BM_GemmKernel)->ArgsProduct({{0, 1}, {0, 1}, {0, 1}});
+BENCHMARK(BM_GemmKernel)->ArgsProduct({{0, 1}, {0, 1}});
 
-// Raw dispatched SpMM at serving/training feature widths, both modes.
+// Raw dispatched SpMM (the O(|E| d) propagation) at serving/training
+// feature widths.
 void BM_SpmmKernel(benchmark::State& state) {
   Fixture& f = GetFixture();
   const int64_t d = state.range(0);
-  const bool det = state.range(1) != 0;
   dgnn::util::Rng rng(7);
   Tensor x = Tensor::GaussianInit(f.adj.cols(), d, 0.1f, rng);
   Tensor y(f.adj.rows(), d);
-  dgnn::kernels::SetDeterministic(det);
   for (auto _ : state) {
     f.adj.Multiply(x.data(), d, y.data());
     benchmark::DoNotOptimize(y.data());
   }
-  dgnn::kernels::SetDeterministic(true);
-  state.SetLabel(ModeLabel(det));
+  state.SetLabel(dgnn::kernels::IsaName(dgnn::kernels::ActiveIsa()));
   state.SetItemsProcessed(state.iterations() * f.adj.nnz() * d);
 }
-BENCHMARK(BM_SpmmKernel)->ArgsProduct({{8, 16, 32, 64}, {0, 1}});
+BENCHMARK(BM_SpmmKernel)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_SegmentSoftmax(benchmark::State& state) {
   Fixture& f = GetFixture();

@@ -10,18 +10,17 @@
 // wall-clock, not a numerics trade.
 //
 //   ./bench_table4_runtime [--datasets=ciao,epinions,yelp] [--epochs=3]
-//                          [--threads=1,4] [--deterministic=0|1]
+//                          [--threads=1,4]
 //
-// --deterministic=1 (default) keeps the bit-identical serial accumulation
-// order; --deterministic=0 measures the relaxed fast kernels (FMA,
-// cache-blocked transposed GEMM). The active SIMD level is printed with
-// the table; force one with DGNN_SIMD=off|avx2|neon.
+// The active SIMD level is printed with the table; force one with
+// DGNN_SIMD=off|avx2|neon. Every level gives the same bits.
 
 #include <algorithm>
 #include <cstdlib>
 #include <map>
 
 #include "bench_common.h"
+#include "kernels/kernels.h"
 #include "train/evaluator.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -103,9 +102,7 @@ int main(int argc, char** argv) {
   }
   util::SetNumThreads(saved_threads);
   std::printf("Table IV (running time per epoch, seconds):\n");
-  std::printf("kernels: isa=%s mode=%s\n",
-              kernels::IsaName(kernels::ActiveIsa()),
-              kernels::Deterministic() ? "deterministic" : "fast");
+  std::printf("kernels: isa=%s\n", kernels::IsaName(kernels::ActiveIsa()));
   table.Print();
   return 0;
 }

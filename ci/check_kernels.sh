@@ -7,17 +7,19 @@
 #      "off", which must always work).
 #   2. kernel_parity_test runs once per level with DGNN_SIMD forced.
 #      The suite checks every dispatched kernel against the scalar
-#      reference: bit-identical (memcmp) in deterministic mode, within
-#      tolerance in fast mode, across transpose combos, ragged shapes
-#      and thread counts 1/2/7 — so a green sweep means --deterministic
-#      output cannot depend on the CPU the binary landed on.
-#   3. Forcing an unavailable level must FAIL loudly (the dispatcher
+#      reference bit for bit (memcmp), across transpose combos, ragged
+#      shapes and thread counts 1/2/7 — so a green sweep means output
+#      cannot depend on the CPU the binary landed on.
+#   3. Whole models: DGNN, DGCF and HGT train 2 epochs on the tiny
+#      preset at DGNN_SIMD=off and at each available level, and every
+#      saved parameter file must be byte-identical (cmp) to the off one.
+#   4. Forcing an unavailable level must FAIL loudly (the dispatcher
 #      aborts rather than silently falling back): a request for a
 #      specific ISA that cannot be honored is a deployment error.
-#   4. bench_micro_kernels smoke: the GEMM/SpMM kernel sweeps must run
+#   5. bench_micro_kernels smoke: the GEMM/SpMM kernel sweeps must run
 #      to completion at the forced-off and auto levels (one iteration
 #      each — this checks the measurement pipeline, not throughput).
-#   5. Every committed trajectory point under bench/trajectory/ must
+#   6. Every committed trajectory point under bench/trajectory/ must
 #      still validate via `dgnn_inspect bench`, so kernel changes can
 #      never rot the published serving trajectory.
 #
@@ -30,11 +32,13 @@ BUILD_DIR="${1:-build}"
 PARITY="$BUILD_DIR/tests/kernel_parity_test"
 MICRO="$BUILD_DIR/bench/bench_micro_kernels"
 INSPECT="$BUILD_DIR/examples/dgnn_inspect"
+CLI="$BUILD_DIR/examples/dgnn_cli"
 
-if [[ ! -x "$PARITY" || ! -x "$MICRO" || ! -x "$INSPECT" ]]; then
+if [[ ! -x "$PARITY" || ! -x "$MICRO" || ! -x "$INSPECT" || ! -x "$CLI" ]]
+then
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target kernel_parity_test bench_micro_kernels dgnn_inspect
+    --target kernel_parity_test bench_micro_kernels dgnn_inspect dgnn_cli
 fi
 
 # ---- dispatch state --------------------------------------------------------
@@ -54,6 +58,26 @@ for level in off $AVAILABLE; do
   }
 done
 echo "check_kernels: parity green at: off $AVAILABLE"
+
+# ---- whole models: trained parameters identical at every level -------------
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+"$CLI" --mode=generate --data_dir="$WORK" --preset=tiny > /dev/null
+for model in DGNN DGCF HGT; do
+  for level in off $AVAILABLE; do
+    DGNN_SIMD="$level" "$CLI" --mode=train --data_dir="$WORK" \
+      --model="$model" --epochs=2 --params="$WORK/$model.$level.bin" \
+      > /dev/null
+  done
+  for level in $AVAILABLE; do
+    cmp -s "$WORK/$model.off.bin" "$WORK/$model.$level.bin" || {
+      echo "check_kernels: $model parameters at DGNN_SIMD=$level differ" \
+           "from DGNN_SIMD=off" >&2
+      exit 1
+    }
+  done
+done
+echo "check_kernels: DGNN/DGCF/HGT parameters identical at: off $AVAILABLE"
 
 # ---- forcing an unavailable level must abort, not fall back ----------------
 for level in avx2 neon; do

@@ -38,7 +38,9 @@
 //
 // All modes accept --threads=N to size the worker pool (default: the
 // DGNN_NUM_THREADS environment variable, else hardware concurrency).
-// Outputs are bit-identical for every thread count.
+// Outputs are bit-identical for every thread count and every kernel
+// SIMD level (DGNN_SIMD=off|avx2|neon overrides CPU detection; see
+// README "Kernels & CPU dispatch").
 //
 // Observability (see README "Run logs & inspection"):
 //   --run-log=F           write a structured JSONL run log (run_start /
@@ -65,7 +67,6 @@
 #include "core/pretrain.h"
 #include "data/io.h"
 #include "data/synthetic.h"
-#include "kernels/kernels.h"
 #include "serve/snapshot.h"
 #include "shard/partition.h"
 #include "train/beyond_accuracy.h"
@@ -361,12 +362,6 @@ int main(int argc, char** argv) {
     }
     util::SetNumThreads(threads);
   }
-  // Kernel numeric mode: --deterministic=1 (default) keeps bit-identical
-  // serial accumulation on every ISA; --deterministic=0 lets the SIMD
-  // kernels relax accumulation order (FMA, cache-blocked GEMM) for
-  // throughput. SIMD level itself comes from runtime CPU detection
-  // (override: DGNN_SIMD env; see README "Kernels & CPU dispatch").
-  kernels::SetDeterministic(flags.GetBool("deterministic", true));
   // --metrics-out=F / --trace-out=F turn telemetry on for the run and
   // write the JSON snapshots (metrics registry / chrome://tracing trace)
   // on exit. See README "Telemetry" for the schemas.

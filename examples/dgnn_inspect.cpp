@@ -803,8 +803,6 @@ int SnapshotReport(const std::string& path) {
 int KernelsReport() {
   std::printf("active: %s\n",
               dgnn::kernels::IsaName(dgnn::kernels::ActiveIsa()));
-  std::printf("mode-default: %s\n",
-              dgnn::kernels::Deterministic() ? "deterministic" : "fast");
   std::string available;
   for (dgnn::kernels::Isa isa : dgnn::kernels::AvailableIsas()) {
     if (!available.empty()) available += ' ';

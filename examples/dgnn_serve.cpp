@@ -77,7 +77,6 @@
 #include <thread>
 #include <utility>
 
-#include "kernels/kernels.h"
 #include "serve/engine.h"
 #include "serve/observe.h"
 #include "serve/protocol.h"
@@ -302,9 +301,6 @@ int main(int argc, char** argv) {
     }
     util::SetNumThreads(threads);
   }
-  // --deterministic=0 serves with the relaxed fast kernels; the default
-  // keeps scoring bit-identical to offline training/evaluation.
-  kernels::SetDeterministic(flags.GetBool("deterministic", true));
   const std::string metrics_out = flags.GetString("metrics-out", "");
   const std::string trace_out = flags.GetString("trace-out", "");
   if (!metrics_out.empty() || !trace_out.empty()) {

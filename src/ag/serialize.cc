@@ -86,6 +86,12 @@ Status ParseRecords(Cursor& cur, ParamStore& store, bool with_moments,
   if (!cur.ReadPod(&count)) {
     return Status::InvalidArgument("truncated header in " + path);
   }
+  // Every record holds at least its name length and its shape.
+  constexpr size_t kMinRecordBytes = sizeof(uint32_t) + 2 * sizeof(int64_t);
+  if (count > cur.remaining() / kMinRecordBytes) {
+    return Status::InvalidArgument("implausible parameter count " +
+                                   std::to_string(count) + " in " + path);
+  }
   staged->reserve(count);
   std::set<std::string> seen_names;
   for (uint64_t i = 0; i < count; ++i) {

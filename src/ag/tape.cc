@@ -25,9 +25,8 @@ constexpr int64_t kEltGrain = 4096;   // chunks of flat elements
 // out += op(A) @ op(B) where op optionally transposes. Dispatches to the
 // kernel layer (src/kernels/): the active ISA variant parallelizes over
 // output rows on the same fixed grain this file used before dispatch
-// existed, so deterministic-mode results stay bit-identical to the old
-// serial kernels for any thread count. Fast mode (--deterministic=0)
-// relaxes the accumulation order for FMA and cache-blocked panels.
+// existed, so results stay bit-identical to the old serial kernels for
+// any thread count and any ISA.
 void GemmAcc(const Tensor& a, bool ta, const Tensor& b, bool tb,
              Tensor& out) {
   static telemetry::Timer* gemm_timer = telemetry::GetTimer("ag.gemm");

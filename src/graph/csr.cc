@@ -219,8 +219,8 @@ void CsrMatrix::Multiply(const float* x, int64_t d, float* y) const {
   }
   // Dispatched row-blocked kernel (src/kernels/): each fixed-grain chunk
   // owns a contiguous row range of y, and every output row is accumulated
-  // by exactly one thread in CSR edge order, so deterministic-mode results
-  // are bit-identical to the serial scalar kernel on every ISA.
+  // by exactly one thread in CSR edge order, so results are bit-identical
+  // to the serial scalar kernel on every ISA.
   kernels::Spmm(indptr_.data(), indices_.data(), values_.data(), rows_, x, d,
                 y);
 }

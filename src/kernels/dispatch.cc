@@ -1,8 +1,8 @@
-// Runtime kernel dispatch: CPU detection, the DGNN_SIMD override, the
-// process-wide deterministic/fast mode switch, and the parallel entry
-// points that split GEMM/SpMM row ranges on the thread pool's fixed
-// grain (same grain as the pre-dispatch serial kernels, so chunk
-// boundaries — and therefore deterministic-mode bits — are unchanged).
+// Runtime kernel dispatch: CPU detection, the DGNN_SIMD override, and
+// the parallel entry points that split GEMM/SpMM row ranges on the
+// thread pool's fixed grain (same grain as the pre-dispatch serial
+// kernels, so chunk boundaries — and therefore the bits — are
+// unchanged).
 
 #include <atomic>
 #include <cctype>
@@ -85,11 +85,6 @@ const KernelTable* ActiveTable() {
   return ActiveTableSlot().load(std::memory_order_relaxed);
 }
 
-std::atomic<bool>& DeterministicFlag() {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-
 }  // namespace
 
 const char* IsaName(Isa isa) {
@@ -131,14 +126,6 @@ void ResetIsaFromEnv() {
   ActiveTableSlot().store(ResolveFromEnv(), std::memory_order_relaxed);
 }
 
-bool Deterministic() {
-  return DeterministicFlag().load(std::memory_order_relaxed);
-}
-
-void SetDeterministic(bool deterministic) {
-  DeterministicFlag().store(deterministic, std::memory_order_relaxed);
-}
-
 void GemmAcc(const float* a, int64_t a_rows, int64_t a_cols, bool ta,
              const float* b, int64_t b_rows, int64_t b_cols, bool tb,
              float* out) {
@@ -159,9 +146,8 @@ void GemmAcc(const float* a, int64_t a_rows, int64_t a_cols, bool ta,
   g.ta = ta;
   g.tb = tb;
   const KernelTable* table = ActiveTable();
-  const bool det = Deterministic();
   util::ParallelFor(0, m, kRowGrain, [&](int64_t rb, int64_t re) {
-    table->gemm_rows(g, rb, re, det);
+    table->gemm_rows(g, rb, re);
   });
 }
 
@@ -176,9 +162,8 @@ void Spmm(const int64_t* indptr, const int32_t* indices,
   s.y = y;
   s.d = d;
   const KernelTable* table = ActiveTable();
-  const bool det = Deterministic();
   util::ParallelFor(0, rows, kRowGrain, [&](int64_t rb, int64_t re) {
-    table->spmm_rows(s, rb, re, det);
+    table->spmm_rows(s, rb, re);
   });
 }
 
@@ -209,21 +194,6 @@ void LeakyReluForward(float* y, int64_t n, float slope) {
 void LeakyReluBackward(float* gx, const float* g, const float* x,
                        int64_t n, float slope) {
   ActiveTable()->leaky_relu_bwd(gx, g, x, n, slope);
-}
-
-float Dot(const float* a, const float* b, int64_t n) {
-  const KernelTable* table = ActiveTable();
-  return table->dot(a, b, n, Deterministic());
-}
-
-float DotQ8(const float* a, const int8_t* q, int64_t n) {
-  const KernelTable* table = ActiveTable();
-  return table->dot_q8(a, q, n, Deterministic());
-}
-
-float DotF16(const float* a, const uint16_t* h, int64_t n) {
-  const KernelTable* table = ActiveTable();
-  return table->dot_f16(a, h, n, Deterministic());
 }
 
 }  // namespace dgnn::kernels

@@ -3,30 +3,21 @@
 // passing, the memory-encoder gate elementwise math, and the serving
 // dot-product scans — funnels through the entry points declared here.
 // At first use the dispatcher picks the best instruction-set variant the
-// CPU supports (AVX2+FMA on x86-64, NEON on aarch64, scalar reference
+// CPU supports (AVX2 on x86-64, NEON on aarch64, scalar reference
 // everywhere); the DGNN_SIMD environment variable overrides the choice.
 //
-// Two numeric modes, switched process-wide:
+// One numeric mode: every output element is accumulated in exactly the
+// serial reference order with separately rounded multiply and add (no
+// FMA contraction). SIMD variants vectorize only across independent
+// output elements, so results are bit-identical to the scalar kernels —
+// and, combined with the thread pool's fixed-grain chunking
+// (src/util/thread_pool.h), to any thread count. The row-parallel
+// GEMM/SpMM entry points below split work on the same fixed grain as the
+// serial kernels.
 //
-//  * DETERMINISTIC (default): every output element is accumulated in
-//    exactly the serial reference order with separately rounded
-//    multiply and add (no FMA contraction). SIMD variants vectorize
-//    only across independent output elements, so results are
-//    bit-identical to the scalar kernels — and, combined with the
-//    thread pool's fixed-grain chunking (src/util/thread_pool.h), to
-//    any thread count. The row-parallel GEMM/SpMM entry points below
-//    split work on the same fixed grain as the serial kernels.
-//
-//  * FAST (SetDeterministic(false), CLI --deterministic=0): relaxes the
-//    accumulation order — FMA, multi-lane partial sums, cache-blocked
-//    panels for the transposed GEMM paths, and the sparse zero-skip in
-//    the A-stationary paths. Results agree with deterministic mode only
-//    to rounding tolerance.
-//
-// Non-finite contract: deterministic mode never skips zero operands, so
-// 0 * NaN / 0 * Inf propagate NaN through every path exactly as IEEE
-// arithmetic demands (this is what --check-numerics relies on). Only
-// fast mode may skip zero multiplier rows as a sparsity shortcut.
+// Non-finite contract: no path skips zero operands, so 0 * NaN /
+// 0 * Inf propagate NaN through every path exactly as IEEE arithmetic
+// demands (this is what --check-numerics relies on).
 
 #ifndef DGNN_KERNELS_KERNELS_H_
 #define DGNN_KERNELS_KERNELS_H_
@@ -67,9 +58,9 @@ void ForceIsa(Isa isa);
 // silently measure scalar code.
 void ResetIsaFromEnv();
 
-// Process-wide numeric mode (see file comment). Default: deterministic.
-bool Deterministic();
-void SetDeterministic(bool deterministic);
+// Always true: there is one numeric mode (see file comment). Kept
+// because perfbench's host block (perfbench/host.cc) still reports it.
+inline bool Deterministic() { return true; }
 
 // ---------------------------------------------------------------------------
 // Kernel entry points
@@ -86,15 +77,14 @@ void GemmAcc(const float* a, int64_t a_rows, int64_t a_cols, bool ta,
 // y = A * x for CSR A (rows x anything) and dense row-major x
 // (A.cols x d); y (rows x d) is overwritten. Row-blocked and
 // parallelized on a fixed grain; per output row, edges accumulate in
-// CSR order (deterministic mode) so results match the serial kernel
-// bit for bit.
+// CSR order so results match the serial kernel bit for bit.
 void Spmm(const int64_t* indptr, const int32_t* indices,
           const float* values, int64_t rows, const float* x, int64_t d,
           float* y);
 
 // Elementwise kernels (serial over [0, n); callers parallelize by
 // chunking). All variants use separately rounded multiply and add, so
-// every ISA produces bit-identical results in BOTH modes.
+// every ISA produces bit-identical results.
 void AddInto(float* y, const float* x, int64_t n);            // y += x
 void AxpyInto(float* y, float a, const float* x, int64_t n);  // y += a*x
 void ScaleInto(float* y, float a, int64_t n);                 // y *= a
@@ -106,22 +96,18 @@ void LeakyReluForward(float* y, int64_t n, float slope);
 void LeakyReluBackward(float* gx, const float* g, const float* x,
                        int64_t n, float slope);
 
-// sum_i a[i]*b[i]. Deterministic mode accumulates serially in index
-// order (bit-identical to the scalar loop); fast mode uses multi-lane
-// FMA partial sums.
+// sum_i a[i]*b[i], accumulated serially in index order. Not
+// dispatched: the serial chain is the same loop on every ISA.
 float Dot(const float* a, const float* b, int64_t n);
 
 // Quantized dots for the serving snapshot's int8 / fp16 embedding
-// sections (ggml-style storage: per-row scale outside the kernel).
+// sections (ggml-style storage: per-row scale outside the kernel), with
+// the same serial contract as Dot.
 //
 //  * DotQ8 returns sum_i a[i] * float(q[i]) — the caller multiplies by
 //    the row's scale, so the kernel itself is codec-agnostic integer
 //    widening + the usual float accumulation.
 //  * DotF16 returns sum_i a[i] * Fp16ToFp32(h[i]).
-//
-// Deterministic mode is the serial scalar reference on every ISA (same
-// contract as Dot); fast mode may widen 8/16-bit lanes in SIMD and use
-// multi-lane FMA partial sums.
 float DotQ8(const float* a, const int8_t* q, int64_t n);
 float DotF16(const float* a, const uint16_t* h, int64_t n);
 
@@ -132,8 +118,7 @@ float DotF16(const float* a, const uint16_t* h, int64_t n);
 // Round-to-nearest-even float32 -> float16, handling subnormals,
 // overflow-to-inf and NaN payload truncation. Pure bit manipulation:
 // bit-identical on every ISA and compiler, which is what makes fp16
-// snapshot sections deterministic artifacts. Hardware converters (F16C)
-// are used only as a runtime-gated fast path inside the SIMD dots.
+// snapshot sections deterministic artifacts.
 inline uint16_t Fp32ToFp16(float v) {
   uint32_t bits;
   __builtin_memcpy(&bits, &v, sizeof(bits));
@@ -224,15 +209,12 @@ struct SpmmView {
 };
 
 // One dispatchable variant: row-range workers for the parallel kernels
-// plus the full elementwise set. `det` selects the deterministic or
-// relaxed accumulation path.
+// plus the full elementwise set.
 struct KernelTable {
   const char* name = "";
   Isa isa = Isa::kScalar;
-  void (*gemm_rows)(const GemmView&, int64_t rb, int64_t re, bool det) =
-      nullptr;
-  void (*spmm_rows)(const SpmmView&, int64_t rb, int64_t re, bool det) =
-      nullptr;
+  void (*gemm_rows)(const GemmView&, int64_t rb, int64_t re) = nullptr;
+  void (*spmm_rows)(const SpmmView&, int64_t rb, int64_t re) = nullptr;
   void (*add_into)(float*, const float*, int64_t) = nullptr;
   void (*axpy_into)(float*, float, const float*, int64_t) = nullptr;
   void (*scale_into)(float*, float, int64_t) = nullptr;
@@ -242,27 +224,25 @@ struct KernelTable {
   void (*leaky_relu_fwd)(float*, int64_t, float) = nullptr;
   void (*leaky_relu_bwd)(float*, const float*, const float*, int64_t,
                          float) = nullptr;
-  float (*dot)(const float*, const float*, int64_t, bool det) = nullptr;
-  float (*dot_q8)(const float*, const int8_t*, int64_t, bool det) = nullptr;
-  float (*dot_f16)(const float*, const uint16_t*, int64_t, bool det) =
-      nullptr;
 };
 
 // Per-ISA tables. The scalar table is the reference implementation and
 // always exists; SIMD tables are defined only in builds that compile
-// their translation unit (see src/kernels/CMakeLists.txt) and reuse the
-// scalar workers for paths where vectorization cannot preserve the
-// deterministic accumulation order.
+// their translation unit (see src/kernels/CMakeLists.txt).
 const KernelTable* ScalarKernelTable();
 const KernelTable* Avx2KernelTable();  // defined iff DGNN_KERNELS_HAVE_AVX2
 const KernelTable* NeonKernelTable();  // defined iff DGNN_KERNELS_HAVE_NEON
 
-// Scalar reference row workers, callable from SIMD tables as the
-// deterministic fallback for the inner-product GEMM paths.
-void ScalarGemmRows(const GemmView& g, int64_t rb, int64_t re, bool det);
-float ScalarDot(const float* a, const float* b, int64_t n, bool det);
-float ScalarDotQ8(const float* a, const int8_t* q, int64_t n, bool det);
-float ScalarDotF16(const float* a, const uint16_t* h, int64_t n, bool det);
+// The scalar reference GEMM row worker (the parity suite's ground
+// truth).
+void ScalarGemmRows(const GemmView& g, int64_t rb, int64_t re);
+
+// Packs op(B) of an nt/tt view into k x n rows in a per-thread buffer
+// and returns the equivalent tb = false view (valid until the calling
+// thread's next call). A SIMD table runs it through its tn row tile:
+// each element keeps the scalar nt/tt chain (acc = 0, ascending p, one
+// final add), so the vectorized inner-product GEMM stays bit-identical.
+GemmView PackTransposedB(const GemmView& g);
 
 }  // namespace dgnn::kernels
 

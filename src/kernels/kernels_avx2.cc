@@ -1,154 +1,33 @@
-// AVX2 + FMA kernel variant. Compiled with -mavx2 -mfma
-// -ffp-contract=off (see src/kernels/CMakeLists.txt): contraction is
-// disabled so the deterministic paths' explicit mul-then-add sequences
-// are never silently fused into FMAs behind our back — only the fast
-// paths use _mm256_fmadd_ps, on purpose.
+// AVX2 kernel variant. Compiled with -mavx2 -mfma -ffp-contract=off
+// (see src/kernels/CMakeLists.txt): contraction is disabled so the
+// explicit mul-then-add sequences below are never silently fused into
+// FMAs behind our back.
 //
 // Determinism: the vector paths below only ever vectorize ACROSS output
 // elements, never across a single element's accumulation chain, and use
 // separately rounded multiply/add. Each lane therefore performs exactly
-// the scalar reference's operation sequence, making deterministic-mode
-// results bit-identical to kernels_scalar.cc. The inner-product GEMM
-// paths (nt/tt) cannot be vectorized that way, so deterministic mode
-// routes them to the scalar reference and fast mode gets cache-blocked
-// FMA panels instead.
+// the scalar reference's operation sequence, making results
+// bit-identical to kernels_scalar.cc. The inner-product GEMM paths
+// (nt/tt) first pack op(B) into rows (PackTransposedB) and then run the
+// tn row tile, whose per-element chain is the scalar nt/tt chain.
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
-
-#include <cstring>
-#include <new>
-#include <vector>
 
 #include "kernels/kernels.h"
 
 namespace dgnn::kernels {
 namespace {
 
-// Cache geometry for the blocked fast paths (ggml-cpu idiom: tile so a
-// B panel stays L1-resident while it is reused across output rows).
-#if defined(__cpp_lib_hardware_interference_size)
-constexpr size_t kCacheLine = std::hardware_destructive_interference_size;
-#else
-constexpr size_t kCacheLine = 64;
-#endif
-constexpr int64_t kCacheLineF32 = static_cast<int64_t>(kCacheLine / 4);
-// Rows of B per fast-path panel: kJTile * k floats <= ~16 KB for the
-// k <= 64 shapes this library runs, i.e. comfortably L1-resident.
-constexpr int64_t kJTile = 4 * kCacheLineF32;
-
-inline float Hsum(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
-
-// FMA dot with 4 independent accumulators — fast mode only (the
-// accumulation order is nothing like the serial sum).
-inline float DotFma(const float* a, const float* b, int64_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                           _mm256_loadu_ps(b + i), acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 16),
-                           _mm256_loadu_ps(b + i + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 24),
-                           _mm256_loadu_ps(b + i + 24), acc3);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                           _mm256_loadu_ps(b + i), acc0);
-  }
-  float r = Hsum(_mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                               _mm256_add_ps(acc2, acc3)));
-  for (; i < n; ++i) r += a[i] * b[i];
-  return r;
-}
-
-// 8 int8 values widened to an fp32 vector (sign-extend + convert).
-inline __m256 LoadQ8AsF32(const int8_t* q) {
-  const __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
-}
-
-// FMA int8 dot, fast mode only: widen 8 lanes per step, 4 independent
-// accumulator chains. The widening conversion is exact (int8 fits fp32),
-// so fast/deterministic differ only by accumulation order — the same
-// contract as the float Dot.
-inline float DotQ8Fma(const float* a, const int8_t* q, int64_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), LoadQ8AsF32(q + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           LoadQ8AsF32(q + i + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 16),
-                           LoadQ8AsF32(q + i + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 24),
-                           LoadQ8AsF32(q + i + 24), acc3);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), LoadQ8AsF32(q + i),
-                           acc0);
-  }
-  float r = Hsum(_mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                               _mm256_add_ps(acc2, acc3)));
-  for (; i < n; ++i) r += a[i] * static_cast<float>(q[i]);
-  return r;
-}
-
-#if defined(__F16C__)
-// FMA fp16 dot via the hardware converter. Only reached behind a runtime
-// f16c check (the AVX2 table itself stays gated on avx2+fma alone).
-inline float DotF16Fma(const float* a, const uint16_t* h, int64_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i h0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + i));
-    const __m128i h1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + i + 8));
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_cvtph_ps(h0),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8), _mm256_cvtph_ps(h1),
-                           acc1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    const __m128i h0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + i));
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_cvtph_ps(h0),
-                           acc0);
-  }
-  float r = Hsum(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) r += a[i] * Fp16ToFp32(h[i]);
-  return r;
-}
-#endif  // __F16C__
-
-// One register-blocked output-row tile of the B-rows-streamed GEMM:
-// kVecs accumulator vectors (8 floats each) live in ymm registers
-// across the entire p reduction, so the loop never round-trips the
-// output row through memory (the store-to-load chain is what limits
-// the naive form, especially with FMA's longer latency). Per output
+// One output-row tile of the B-rows-streamed GEMM: kVecs accumulator
+// vectors (8 floats each) are carried across the entire p reduction, so
+// the output row is loaded and stored once per tile instead of once per
+// p (the store-to-load chain is what limits the naive form). Per output
 // element the operation sequence is exactly the naive/scalar order —
-// register residency does not reorder anything — so kDet stays
-// bit-identical to the scalar reference.
-template <bool kDet, bool kDirect, int kVecs>
+// carrying the accumulators does not reorder anything — so the tile
+// stays bit-identical to the scalar reference.
+template <bool kDirect, int kVecs>
 inline void GemmRowTile(const GemmView& g, int64_t i, int64_t j0,
                         float* orow) {
   __m256 acc[kVecs];
@@ -158,13 +37,11 @@ inline void GemmRowTile(const GemmView& g, int64_t i, int64_t j0,
   }
   for (int64_t p = 0; p < g.k; ++p) {
     const float av = g.ta ? g.a[p * g.lda + i] : g.a[i * g.lda + p];
-    if (!kDet && av == 0.0f) continue;
     const __m256 av8 = _mm256_set1_ps(av);
     const float* brow = g.b + p * g.ldb + j0;
     for (int t = 0; t < kVecs; ++t) {
       const __m256 bv = _mm256_loadu_ps(brow + 8 * t);
-      acc[t] = kDet ? _mm256_add_ps(acc[t], _mm256_mul_ps(av8, bv))
-                    : _mm256_fmadd_ps(av8, bv, acc[t]);
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(av8, bv));
     }
   }
   for (int t = 0; t < kVecs; ++t) {
@@ -178,25 +55,24 @@ inline void GemmRowTile(const GemmView& g, int64_t i, int64_t j0,
   }
 }
 
-// nn/tn: B-rows-streamed GEMM. kDirect distinguishes the nn ordering
+// B-rows-streamed GEMM. kDirect distinguishes the nn ordering
 // (accumulate straight into out) from the tn ordering (fresh acc, one
 // final add). Output rows are processed in 32-float register tiles.
-template <bool kDet, bool kDirect>
+template <bool kDirect>
 inline void GemmRowsStreamB(const GemmView& g, int64_t rb, int64_t re) {
   for (int64_t i = rb; i < re; ++i) {
     float* orow = g.out + i * g.n;
     int64_t j = 0;
     for (; j + 32 <= g.n; j += 32) {
-      GemmRowTile<kDet, kDirect, 4>(g, i, j, orow);
+      GemmRowTile<kDirect, 4>(g, i, j, orow);
     }
     for (; j + 8 <= g.n; j += 8) {
-      GemmRowTile<kDet, kDirect, 1>(g, i, j, orow);
+      GemmRowTile<kDirect, 1>(g, i, j, orow);
     }
     for (; j < g.n; ++j) {
       float acc = kDirect ? orow[j] : 0.0f;
       for (int64_t p = 0; p < g.k; ++p) {
         const float av = g.ta ? g.a[p * g.lda + i] : g.a[i * g.lda + p];
-        if (!kDet && av == 0.0f) continue;
         acc += av * g.b[p * g.ldb + j];
       }
       if (kDirect) {
@@ -208,72 +84,25 @@ inline void GemmRowsStreamB(const GemmView& g, int64_t rb, int64_t re) {
   }
 }
 
-// nt/tt fast path: inner-product GEMM, cache-blocked so each B panel of
-// kJTile rows is reused across every output row of the chunk while it
-// is still L1-resident. For tt the strided A columns are packed once
-// per chunk into a contiguous panel.
-void GemmRowsInnerFast(const GemmView& g, int64_t rb, int64_t re) {
-  const float* a_panel = nullptr;
-  int64_t a_stride = 0;
-  std::vector<float> packed;
-  if (!g.ta) {
-    a_panel = g.a + rb * g.lda;
-    a_stride = g.lda;
+void GemmRows(const GemmView& g, int64_t rb, int64_t re) {
+  if (g.tb) {
+    // nt/tt: the tn tile over packed op(B) is the scalar inner-product
+    // chain (acc = 0, ascending p, one final add) in every lane.
+    GemmRowsStreamB<false>(PackTransposedB(g), rb, re);
+  } else if (g.ta) {
+    GemmRowsStreamB<false>(g, rb, re);
   } else {
-    packed.resize(static_cast<size_t>((re - rb) * g.k));
-    for (int64_t i = rb; i < re; ++i) {
-      float* dst = packed.data() + (i - rb) * g.k;
-      for (int64_t p = 0; p < g.k; ++p) dst[p] = g.a[p * g.lda + i];
-    }
-    a_panel = packed.data();
-    a_stride = g.k;
-  }
-  for (int64_t jb = 0; jb < g.n; jb += kJTile) {
-    const int64_t je = jb + kJTile < g.n ? jb + kJTile : g.n;
-    for (int64_t i = rb; i < re; ++i) {
-      const float* arow = a_panel + (i - rb) * a_stride;
-      float* orow = g.out + i * g.n;
-      for (int64_t j = jb; j < je; ++j) {
-        orow[j] += DotFma(arow, g.b + j * g.ldb, g.k);
-      }
-    }
+    GemmRowsStreamB<true>(g, rb, re);
   }
 }
 
-void GemmRows(const GemmView& g, int64_t rb, int64_t re, bool det) {
-  if (!g.tb) {
-    if (det) {
-      if (g.ta) {
-        GemmRowsStreamB<true, false>(g, rb, re);
-      } else {
-        GemmRowsStreamB<true, true>(g, rb, re);
-      }
-    } else {
-      if (g.ta) {
-        GemmRowsStreamB<false, false>(g, rb, re);
-      } else {
-        GemmRowsStreamB<false, true>(g, rb, re);
-      }
-    }
-    return;
-  }
-  // Inner-product paths: vector lanes would have to span a single
-  // element's accumulation chain, so deterministic mode keeps the
-  // scalar reference order.
-  if (det) {
-    ScalarGemmRows(g, rb, re, det);
-  } else {
-    GemmRowsInnerFast(g, rb, re);
-  }
-}
-
-// One register-blocked y-row tile of SpMM: kVecs accumulator vectors
-// stay in registers across the whole edge scan, so per edge the work is
-// one broadcast + kVecs load/fmadd pairs with no y round-trip. The
+// One y-row tile of SpMM: kVecs accumulator vectors are carried across
+// the whole edge scan, so per edge the work is one broadcast + kVecs
+// load/mul/add triples and y is stored once per tile. The
 // per-element accumulation order is still exactly CSR edge order, so
-// the deterministic flavor is bit-identical to the scalar reference
-// (which also starts each element at 0 and adds edges in order).
-template <bool kDet, int kVecs>
+// the tile is bit-identical to the scalar reference (which also starts
+// each element at 0 and adds edges in order).
+template <int kVecs>
 inline void SpmmRowTile(const SpmmView& s, int64_t ib, int64_t ie,
                         int64_t c0, float* yr) {
   __m256 acc[kVecs];
@@ -284,54 +113,13 @@ inline void SpmmRowTile(const SpmmView& s, int64_t ib, int64_t ie,
         s.x + static_cast<int64_t>(s.indices[i]) * s.d + c0;
     for (int t = 0; t < kVecs; ++t) {
       const __m256 x8 = _mm256_loadu_ps(xr + 8 * t);
-      acc[t] = kDet ? _mm256_add_ps(acc[t], _mm256_mul_ps(v8, x8))
-                    : _mm256_fmadd_ps(v8, x8, acc[t]);
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(v8, x8));
     }
   }
   for (int t = 0; t < kVecs; ++t) _mm256_storeu_ps(yr + c0 + 8 * t, acc[t]);
 }
 
-// Fast-mode small-width tile: with one or two accumulator vectors the
-// edge loop is latency-bound on a single FMA chain, so split the edges
-// across four independent chains and combine at the end. Reorders the
-// accumulation (fast mode only).
-template <int kVecs>
-inline void SpmmRowTileFast4(const SpmmView& s, int64_t ib, int64_t ie,
-                             int64_t c0, float* yr) {
-  __m256 acc[kVecs][4];
-  for (int t = 0; t < kVecs; ++t) {
-    for (int e = 0; e < 4; ++e) acc[t][e] = _mm256_setzero_ps();
-  }
-  int64_t i = ib;
-  for (; i + 4 <= ie; i += 4) {
-    for (int e = 0; e < 4; ++e) {
-      const __m256 v8 = _mm256_set1_ps(s.values[i + e]);
-      const float* xr =
-          s.x + static_cast<int64_t>(s.indices[i + e]) * s.d + c0;
-      for (int t = 0; t < kVecs; ++t) {
-        acc[t][e] =
-            _mm256_fmadd_ps(v8, _mm256_loadu_ps(xr + 8 * t), acc[t][e]);
-      }
-    }
-  }
-  for (; i < ie; ++i) {
-    const __m256 v8 = _mm256_set1_ps(s.values[i]);
-    const float* xr =
-        s.x + static_cast<int64_t>(s.indices[i]) * s.d + c0;
-    for (int t = 0; t < kVecs; ++t) {
-      acc[t][0] =
-          _mm256_fmadd_ps(v8, _mm256_loadu_ps(xr + 8 * t), acc[t][0]);
-    }
-  }
-  for (int t = 0; t < kVecs; ++t) {
-    _mm256_storeu_ps(
-        yr + c0 + 8 * t,
-        _mm256_add_ps(_mm256_add_ps(acc[t][0], acc[t][1]),
-                      _mm256_add_ps(acc[t][2], acc[t][3])));
-  }
-}
-
-void SpmmRows(const SpmmView& s, int64_t rb, int64_t re, bool det) {
+void SpmmRows(const SpmmView& s, int64_t rb, int64_t re) {
   for (int64_t r = rb; r < re; ++r) {
     float* yr = s.y + r * s.d;
     const int64_t ib = s.indptr[r];
@@ -344,20 +132,16 @@ void SpmmRows(const SpmmView& s, int64_t rb, int64_t re, bool det) {
       const int vecs = rem < 4 ? static_cast<int>(rem) : 4;
       switch (vecs) {
         case 4:
-          det ? SpmmRowTile<true, 4>(s, ib, ie, c, yr)
-              : SpmmRowTile<false, 4>(s, ib, ie, c, yr);
+          SpmmRowTile<4>(s, ib, ie, c, yr);
           break;
         case 3:
-          det ? SpmmRowTile<true, 3>(s, ib, ie, c, yr)
-              : SpmmRowTileFast4<3>(s, ib, ie, c, yr);
+          SpmmRowTile<3>(s, ib, ie, c, yr);
           break;
         case 2:
-          det ? SpmmRowTile<true, 2>(s, ib, ie, c, yr)
-              : SpmmRowTileFast4<2>(s, ib, ie, c, yr);
+          SpmmRowTile<2>(s, ib, ie, c, yr);
           break;
         default:
-          det ? SpmmRowTile<true, 1>(s, ib, ie, c, yr)
-              : SpmmRowTileFast4<1>(s, ib, ie, c, yr);
+          SpmmRowTile<1>(s, ib, ie, c, yr);
           break;
       }
       c += vecs * 8;
@@ -460,27 +244,6 @@ void LeakyReluBwdImpl(float* gx, const float* g, const float* x, int64_t n,
   }
 }
 
-float DotImpl(const float* a, const float* b, int64_t n, bool det) {
-  if (det) return ScalarDot(a, b, n, det);
-  return DotFma(a, b, n);
-}
-
-float DotQ8Impl(const float* a, const int8_t* q, int64_t n, bool det) {
-  if (det) return ScalarDotQ8(a, q, n, det);
-  return DotQ8Fma(a, q, n);
-}
-
-float DotF16Impl(const float* a, const uint16_t* h, int64_t n, bool det) {
-  if (det) return ScalarDotF16(a, h, n, det);
-#if defined(__F16C__)
-  // F16C shipped before AVX2 on every x86 line, but the table is gated
-  // on avx2+fma only — check at runtime rather than widening the gate.
-  static const bool have_f16c = __builtin_cpu_supports("f16c");
-  if (have_f16c) return DotF16Fma(a, h, n);
-#endif
-  return ScalarDotF16(a, h, n, /*det=*/false);
-}
-
 }  // namespace
 
 const KernelTable* Avx2KernelTable() {
@@ -496,9 +259,6 @@ const KernelTable* Avx2KernelTable() {
       /*mul_add_into=*/&MulAddIntoImpl,
       /*leaky_relu_fwd=*/&LeakyReluFwdImpl,
       /*leaky_relu_bwd=*/&LeakyReluBwdImpl,
-      /*dot=*/&DotImpl,
-      /*dot_q8=*/&DotQ8Impl,
-      /*dot_f16=*/&DotF16Impl,
   };
   return &table;
 }

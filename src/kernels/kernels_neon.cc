@@ -1,86 +1,24 @@
 // NEON kernel variant (aarch64). Compiled with -ffp-contract=off so the
-// deterministic paths' explicit mul-then-add sequences stay two rounded
-// operations; only the fast paths use vfmaq_f32 fused multiply-add.
+// explicit mul-then-add sequences stay two rounded operations.
 //
-// Mirrors kernels_avx2.cc: deterministic mode vectorizes only across
-// independent output elements (nn/tn GEMM over j, SpMM over the feature
-// dim, all elementwise ops) so results are bit-identical to the scalar
-// reference; the inner-product GEMM paths (nt/tt) fall back to the
-// scalar reference in deterministic mode and get FMA dots in fast mode.
+// Mirrors kernels_avx2.cc: vectorizes only across independent output
+// elements (nn/tn GEMM over j, SpMM over the feature dim, all
+// elementwise ops) so results are bit-identical to the scalar
+// reference; the inner-product GEMM paths (nt/tt) pack op(B) into rows
+// (PackTransposedB) and run the tn path.
 
 #if defined(__ARM_NEON) || defined(__ARM_NEON__)
 
 #include <arm_neon.h>
 
 #include <cstring>
-#include <vector>
 
 #include "kernels/kernels.h"
 
 namespace dgnn::kernels {
 namespace {
 
-inline float Hsum(float32x4_t v) { return vaddvq_f32(v); }
-
-// FMA dot with 4 independent accumulators — fast mode only.
-inline float DotFma(const float* a, const float* b, int64_t n) {
-  float32x4_t acc0 = vdupq_n_f32(0.0f);
-  float32x4_t acc1 = vdupq_n_f32(0.0f);
-  float32x4_t acc2 = vdupq_n_f32(0.0f);
-  float32x4_t acc3 = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = vfmaq_f32(acc0, vld1q_f32(a + i), vld1q_f32(b + i));
-    acc1 = vfmaq_f32(acc1, vld1q_f32(a + i + 4), vld1q_f32(b + i + 4));
-    acc2 = vfmaq_f32(acc2, vld1q_f32(a + i + 8), vld1q_f32(b + i + 8));
-    acc3 = vfmaq_f32(acc3, vld1q_f32(a + i + 12), vld1q_f32(b + i + 12));
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = vfmaq_f32(acc0, vld1q_f32(a + i), vld1q_f32(b + i));
-  }
-  float r = Hsum(vaddq_f32(vaddq_f32(acc0, acc1), vaddq_f32(acc2, acc3)));
-  for (; i < n; ++i) r += a[i] * b[i];
-  return r;
-}
-
-// FMA int8 dot, fast mode only: widen 4 lanes per step via
-// int8 -> int16 -> int32 -> fp32 (exact), 2 independent chains.
-inline float DotQ8Fma(const float* a, const int8_t* q, int64_t n) {
-  float32x4_t acc0 = vdupq_n_f32(0.0f);
-  float32x4_t acc1 = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int16x8_t w = vmovl_s8(vld1_s8(q + i));
-    acc0 = vfmaq_f32(acc0, vld1q_f32(a + i),
-                     vcvtq_f32_s32(vmovl_s16(vget_low_s16(w))));
-    acc1 = vfmaq_f32(acc1, vld1q_f32(a + i + 4),
-                     vcvtq_f32_s32(vmovl_s16(vget_high_s16(w))));
-  }
-  float r = Hsum(vaddq_f32(acc0, acc1));
-  for (; i < n; ++i) r += a[i] * static_cast<float>(q[i]);
-  return r;
-}
-
-// FMA fp16 dot, fast mode only. aarch64 guarantees the fp16 conversion
-// instructions (vcvt_f32_f16), so no runtime gate is needed.
-inline float DotF16Fma(const float* a, const uint16_t* h, int64_t n) {
-  float32x4_t acc0 = vdupq_n_f32(0.0f);
-  float32x4_t acc1 = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float16x8_t w =
-        vreinterpretq_f16_u16(vld1q_u16(h + i));
-    acc0 = vfmaq_f32(acc0, vld1q_f32(a + i),
-                     vcvt_f32_f16(vget_low_f16(w)));
-    acc1 = vfmaq_f32(acc1, vld1q_f32(a + i + 4),
-                     vcvt_f32_f16(vget_high_f16(w)));
-  }
-  float r = Hsum(vaddq_f32(acc0, acc1));
-  for (; i < n; ++i) r += a[i] * Fp16ToFp32(h[i]);
-  return r;
-}
-
-template <bool kDet, bool kDirect>
+template <bool kDirect>
 inline void GemmRowsStreamB(const GemmView& g, int64_t rb, int64_t re) {
   for (int64_t i = rb; i < re; ++i) {
     float* orow = g.out + i * g.n;
@@ -89,13 +27,8 @@ inline void GemmRowsStreamB(const GemmView& g, int64_t rb, int64_t re) {
       float32x4_t acc = kDirect ? vld1q_f32(orow + j) : vdupq_n_f32(0.0f);
       for (int64_t p = 0; p < g.k; ++p) {
         const float av = g.ta ? g.a[p * g.lda + i] : g.a[i * g.lda + p];
-        if (!kDet && av == 0.0f) continue;
         const float32x4_t bv = vld1q_f32(g.b + p * g.ldb + j);
-        if (kDet) {
-          acc = vaddq_f32(acc, vmulq_n_f32(bv, av));
-        } else {
-          acc = vfmaq_n_f32(acc, bv, av);
-        }
+        acc = vaddq_f32(acc, vmulq_n_f32(bv, av));
       }
       if (kDirect) {
         vst1q_f32(orow + j, acc);
@@ -107,7 +40,6 @@ inline void GemmRowsStreamB(const GemmView& g, int64_t rb, int64_t re) {
       float acc = kDirect ? orow[j] : 0.0f;
       for (int64_t p = 0; p < g.k; ++p) {
         const float av = g.ta ? g.a[p * g.lda + i] : g.a[i * g.lda + p];
-        if (!kDet && av == 0.0f) continue;
         acc += av * g.b[p * g.ldb + j];
       }
       if (kDirect) {
@@ -119,60 +51,17 @@ inline void GemmRowsStreamB(const GemmView& g, int64_t rb, int64_t re) {
   }
 }
 
-void GemmRowsInnerFast(const GemmView& g, int64_t rb, int64_t re) {
-  const float* a_panel = nullptr;
-  int64_t a_stride = 0;
-  std::vector<float> packed;
-  if (!g.ta) {
-    a_panel = g.a + rb * g.lda;
-    a_stride = g.lda;
+void GemmRows(const GemmView& g, int64_t rb, int64_t re) {
+  if (g.tb) {
+    GemmRowsStreamB<false>(PackTransposedB(g), rb, re);
+  } else if (g.ta) {
+    GemmRowsStreamB<false>(g, rb, re);
   } else {
-    packed.resize(static_cast<size_t>((re - rb) * g.k));
-    for (int64_t i = rb; i < re; ++i) {
-      float* dst = packed.data() + (i - rb) * g.k;
-      for (int64_t p = 0; p < g.k; ++p) dst[p] = g.a[p * g.lda + i];
-    }
-    a_panel = packed.data();
-    a_stride = g.k;
-  }
-  constexpr int64_t kJTile = 64;
-  for (int64_t jb = 0; jb < g.n; jb += kJTile) {
-    const int64_t je = jb + kJTile < g.n ? jb + kJTile : g.n;
-    for (int64_t i = rb; i < re; ++i) {
-      const float* arow = a_panel + (i - rb) * a_stride;
-      float* orow = g.out + i * g.n;
-      for (int64_t j = jb; j < je; ++j) {
-        orow[j] += DotFma(arow, g.b + j * g.ldb, g.k);
-      }
-    }
+    GemmRowsStreamB<true>(g, rb, re);
   }
 }
 
-void GemmRows(const GemmView& g, int64_t rb, int64_t re, bool det) {
-  if (!g.tb) {
-    if (det) {
-      if (g.ta) {
-        GemmRowsStreamB<true, false>(g, rb, re);
-      } else {
-        GemmRowsStreamB<true, true>(g, rb, re);
-      }
-    } else {
-      if (g.ta) {
-        GemmRowsStreamB<false, false>(g, rb, re);
-      } else {
-        GemmRowsStreamB<false, true>(g, rb, re);
-      }
-    }
-    return;
-  }
-  if (det) {
-    ScalarGemmRows(g, rb, re, det);
-  } else {
-    GemmRowsInnerFast(g, rb, re);
-  }
-}
-
-void SpmmRows(const SpmmView& s, int64_t rb, int64_t re, bool det) {
+void SpmmRows(const SpmmView& s, int64_t rb, int64_t re) {
   std::memset(s.y + rb * s.d, 0,
               sizeof(float) * static_cast<size_t>((re - rb) * s.d));
   const int64_t dv = s.d & ~int64_t{3};
@@ -185,8 +74,7 @@ void SpmmRows(const SpmmView& s, int64_t rb, int64_t re, bool det) {
       for (; c < dv; c += 4) {
         const float32x4_t y4 = vld1q_f32(yr + c);
         const float32x4_t x4 = vld1q_f32(xr + c);
-        vst1q_f32(yr + c, det ? vaddq_f32(y4, vmulq_n_f32(x4, v))
-                              : vfmaq_n_f32(y4, x4, v));
+        vst1q_f32(yr + c, vaddq_f32(y4, vmulq_n_f32(x4, v)));
       }
       for (; c < s.d; ++c) yr[c] += v * xr[c];
     }
@@ -268,21 +156,6 @@ void LeakyReluBwdImpl(float* gx, const float* g, const float* x, int64_t n,
   }
 }
 
-float DotImpl(const float* a, const float* b, int64_t n, bool det) {
-  if (det) return ScalarDot(a, b, n, det);
-  return DotFma(a, b, n);
-}
-
-float DotQ8Impl(const float* a, const int8_t* q, int64_t n, bool det) {
-  if (det) return ScalarDotQ8(a, q, n, det);
-  return DotQ8Fma(a, q, n);
-}
-
-float DotF16Impl(const float* a, const uint16_t* h, int64_t n, bool det) {
-  if (det) return ScalarDotF16(a, h, n, det);
-  return DotF16Fma(a, h, n);
-}
-
 }  // namespace
 
 const KernelTable* NeonKernelTable() {
@@ -298,9 +171,6 @@ const KernelTable* NeonKernelTable() {
       /*mul_add_into=*/&MulAddIntoImpl,
       /*leaky_relu_fwd=*/&LeakyReluFwdImpl,
       /*leaky_relu_bwd=*/&LeakyReluBwdImpl,
-      /*dot=*/&DotImpl,
-      /*dot_q8=*/&DotQ8Impl,
-      /*dot_f16=*/&DotF16Impl,
   };
   return &table;
 }

@@ -1,8 +1,9 @@
 // Scalar reference kernels — the semantics every SIMD variant is tested
-// against. Deterministic mode IS this code; the parity suite asserts
-// the SIMD tables reproduce it bit for bit.
+// against. The parity suite asserts the SIMD tables reproduce this code
+// bit for bit.
 
 #include <cstring>
+#include <vector>
 
 #include "kernels/kernels.h"
 
@@ -20,18 +21,16 @@ namespace {
 //    rounded products in ascending p order, and is added to out[i][j]
 //    with a single final add.
 //
-// The deterministic path never skips zero multipliers: 0 * NaN and
-// 0 * Inf must produce NaN so --check-numerics sees anomalies no matter
-// which GEMM path a gradient took. Fast mode restores the sparse skip
-// (dropout-style zeros in A) as an explicit accuracy/throughput trade.
-void GemmRows(const GemmView& g, int64_t rb, int64_t re, bool det) {
+// No path skips zero multipliers: 0 * NaN and 0 * Inf must produce NaN
+// so --check-numerics sees anomalies no matter which GEMM path a
+// gradient took.
+void GemmRows(const GemmView& g, int64_t rb, int64_t re) {
   if (!g.ta && !g.tb) {
     for (int64_t i = rb; i < re; ++i) {
       const float* arow = g.a + i * g.lda;
       float* orow = g.out + i * g.n;
       for (int64_t p = 0; p < g.k; ++p) {
         const float av = arow[p];
-        if (!det && av == 0.0f) continue;
         const float* brow = g.b + p * g.ldb;
         for (int64_t j = 0; j < g.n; ++j) orow[j] += av * brow[j];
       }
@@ -76,7 +75,7 @@ void GemmRows(const GemmView& g, int64_t rb, int64_t re, bool det) {
   }
 }
 
-void SpmmRows(const SpmmView& s, int64_t rb, int64_t re, bool /*det*/) {
+void SpmmRows(const SpmmView& s, int64_t rb, int64_t re) {
   std::memset(s.y + rb * s.d, 0,
               sizeof(float) * static_cast<size_t>((re - rb) * s.d));
   for (int64_t r = rb; r < re; ++r) {
@@ -122,43 +121,42 @@ void LeakyReluBwdImpl(float* gx, const float* g, const float* x, int64_t n,
   }
 }
 
-float DotImpl(const float* a, const float* b, int64_t n, bool /*det*/) {
-  // The serial index-order sum is the reference in both modes; only
-  // SIMD tables relax it under fast mode.
+}  // namespace
+
+float Dot(const float* a, const float* b, int64_t n) {
   float acc = 0.0f;
   for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
 }
 
-float DotQ8Impl(const float* a, const int8_t* q, int64_t n, bool /*det*/) {
+float DotQ8(const float* a, const int8_t* q, int64_t n) {
   float acc = 0.0f;
   for (int64_t i = 0; i < n; ++i) acc += a[i] * static_cast<float>(q[i]);
   return acc;
 }
 
-float DotF16Impl(const float* a, const uint16_t* h, int64_t n,
-                 bool /*det*/) {
+float DotF16(const float* a, const uint16_t* h, int64_t n) {
   float acc = 0.0f;
   for (int64_t i = 0; i < n; ++i) acc += a[i] * Fp16ToFp32(h[i]);
   return acc;
 }
 
-}  // namespace
-
-void ScalarGemmRows(const GemmView& g, int64_t rb, int64_t re, bool det) {
-  GemmRows(g, rb, re, det);
+void ScalarGemmRows(const GemmView& g, int64_t rb, int64_t re) {
+  GemmRows(g, rb, re);
 }
 
-float ScalarDot(const float* a, const float* b, int64_t n, bool det) {
-  return DotImpl(a, b, n, det);
-}
-
-float ScalarDotQ8(const float* a, const int8_t* q, int64_t n, bool det) {
-  return DotQ8Impl(a, q, n, det);
-}
-
-float ScalarDotF16(const float* a, const uint16_t* h, int64_t n, bool det) {
-  return DotF16Impl(a, h, n, det);
+GemmView PackTransposedB(const GemmView& g) {
+  thread_local std::vector<float> packed;
+  packed.resize(static_cast<size_t>(g.k * g.n));
+  for (int64_t j = 0; j < g.n; ++j) {
+    const float* brow = g.b + j * g.ldb;
+    for (int64_t p = 0; p < g.k; ++p) packed[p * g.n + j] = brow[p];
+  }
+  GemmView v = g;
+  v.b = packed.data();
+  v.ldb = g.n;
+  v.tb = false;
+  return v;
 }
 
 const KernelTable* ScalarKernelTable() {
@@ -174,9 +172,6 @@ const KernelTable* ScalarKernelTable() {
       /*mul_add_into=*/&MulAddIntoImpl,
       /*leaky_relu_fwd=*/&LeakyReluFwdImpl,
       /*leaky_relu_bwd=*/&LeakyReluBwdImpl,
-      /*dot=*/&DotImpl,
-      /*dot_q8=*/&DotQ8Impl,
-      /*dot_f16=*/&DotF16Impl,
   };
   return &table;
 }

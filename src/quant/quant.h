@@ -7,15 +7,13 @@
 //    fp32 plus one float per row; worst-case per-element error is
 //    scale / 2.
 //  * fp16: IEEE binary16 with round-to-nearest-even, converted by the
-//    software reference in kernels/kernels.h (bit-identical everywhere;
-//    hardware converters only accelerate the dot kernels). 2x smaller,
-//    ~3 decimal digits.
+//    software reference in kernels/kernels.h (bit-identical
+//    everywhere). 2x smaller, ~3 decimal digits.
 //
 // Quantization and dequantization are pure per-element maps — no
 // cross-element accumulation — so outputs are bit-identical for any
-// thread count and any ISA. Scoring goes through the kernels dispatch
-// table (DotQ8 / DotF16): deterministic mode is the serial scalar
-// reference, fast mode gets SIMD widening + FMA.
+// thread count and any ISA. Scoring goes through the kernels' serial
+// DotQ8 / DotF16, the same loop on every ISA.
 
 #ifndef DGNN_QUANT_QUANT_H_
 #define DGNN_QUANT_QUANT_H_

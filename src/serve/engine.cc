@@ -506,7 +506,12 @@ Response ServingEngine::Execute(const State* state, const Request& request,
         CountDegraded();
         break;
       }
+      Clock::time_point t0;
+      if (stages != nullptr) t0 = Clock::now();
       resp.vector = ComputeUserVector(*state, request.user);
+      if (stages != nullptr) {
+        stages->recal_seconds = Seconds(t0, Clock::now());
+      }
       resp.vector_norm =
           state->user_norms[static_cast<size_t>(local_user)];
       break;

@@ -80,10 +80,8 @@ class EmbeddingView {
   bool dense() const { return dense_ != nullptr; }
 
   // dot(u, row r) — exact for dense, approximate (codec precision) for
-  // quantized storage. Every surface calls the same dispatched kernel,
-  // so train-time and serve-time scores stay bit-identical in either
-  // numeric mode (deterministic: serial index order on every ISA; fast:
-  // the same multi-lane FMA sum everywhere).
+  // quantized storage. Every surface calls the same serial kernel, so
+  // train-time and serve-time scores stay bit-identical on every ISA.
   float Score(const float* u, int64_t r) const {
     return dense_ != nullptr
                ? kernels::Dot(u, dense_->row(r), dense_->cols())

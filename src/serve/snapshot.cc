@@ -90,10 +90,10 @@ Status ParseTensor(Cursor& c, const std::string& what, ag::Tensor* out) {
                                    std::to_string(rows) + "x" +
                                    std::to_string(cols));
   }
+  const size_t n = static_cast<size_t>(rows) * static_cast<size_t>(cols);
+  if (n > c.remaining() / sizeof(float)) return Truncated(what + " values");
   ag::Tensor t(rows, cols);
-  if (!c.Read(t.data(), static_cast<size_t>(t.size()) * sizeof(float))) {
-    return Truncated(what + " values");
-  }
+  if (!c.Read(t.data(), n * sizeof(float))) return Truncated(what + " values");
   *out = std::move(t);
   return Status::Ok();
 }
@@ -121,6 +121,10 @@ Status ParseQuant(Cursor& c, const std::string& what,
   m.rows = rows;
   m.cols = cols;
   const size_t n = static_cast<size_t>(rows) * static_cast<size_t>(cols);
+  const size_t bytes = m.codec == quant::Codec::kInt8
+                           ? static_cast<size_t>(rows) * sizeof(float) + n
+                           : n * sizeof(uint16_t);
+  if (bytes > c.remaining()) return Truncated(what + " values");
   if (m.codec == quant::Codec::kInt8) {
     m.scales.resize(static_cast<size_t>(rows));
     if (!c.Read(m.scales.data(), m.scales.size() * sizeof(float))) {
@@ -149,7 +153,8 @@ Status ParseIdLists(Cursor& c, const std::string& what, int64_t max_id,
                     std::vector<std::vector<int32_t>>* out) {
   uint64_t count = 0;
   if (!c.ReadPod(&count)) return Truncated(what);
-  if (count > (1ULL << 32)) {
+  // Every list holds at least its length word.
+  if (count > c.remaining() / sizeof(uint32_t)) {
     return Status::InvalidArgument("implausible " + what + " list count");
   }
   std::vector<std::vector<int32_t>> lists;
@@ -157,6 +162,9 @@ Status ParseIdLists(Cursor& c, const std::string& what, int64_t max_id,
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t len = 0;
     if (!c.ReadPod(&len)) return Truncated(what);
+    if (len > c.remaining() / sizeof(int32_t)) {
+      return Truncated(what + " entries");
+    }
     std::vector<int32_t> list(len);
     if (!c.Read(list.data(), static_cast<size_t>(len) * sizeof(int32_t))) {
       return Truncated(what + " entries");
@@ -605,7 +613,7 @@ StatusOr<Snapshot> ReadSnapshot(const std::string& path) {
         break;
       case internal::kSectionItemCounts: {
         uint64_t n = 0;
-        if (!sc.ReadPod(&n) || n > (1ULL << 32)) {
+        if (!sc.ReadPod(&n) || n > sc.remaining() / sizeof(int64_t)) {
           st = Truncated("item counts");
           break;
         }

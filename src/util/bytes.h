@@ -38,6 +38,9 @@ struct Cursor {
   bool ReadPod(T* out) {
     return Read(out, sizeof(T));
   }
+  // Bytes left to read: the most a count or length read from the file
+  // can cover, checked before anything is sized from it.
+  size_t remaining() const { return size - pos; }
   bool exhausted() const { return pos == size; }
 };
 

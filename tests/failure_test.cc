@@ -3,6 +3,7 @@
 // never silently corrupt.
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -291,6 +292,28 @@ TEST_F(SerializeFailureTest, DuplicateParameterRecordRejected) {
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("duplicate parameter record"),
             std::string::npos);
+}
+
+TEST_F(SerializeFailureTest, RecordCountBeyondFileSizeRejected) {
+  ASSERT_TRUE(ag::SaveParameters(store_, path_).ok());
+  std::ifstream in(path_, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::string bytes = buf.str();
+  // Layout: 8B magic, 8B count. No file this size holds 2^62 records;
+  // the reader must say so before it sizes anything from the count.
+  const uint64_t count = 1ULL << 62;
+  std::memcpy(bytes.data() + 8, &count, sizeof(count));
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  util::Status s = ag::LoadParameters(store_, path_);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("implausible parameter count"),
+            std::string::npos)
+      << s.ToString();
 }
 
 TEST_F(SerializeFailureTest, TrailingGarbageRejected) {

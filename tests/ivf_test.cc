@@ -25,17 +25,13 @@ namespace {
 
 class IvfTest : public ::testing::Test {
  protected:
-  IvfTest()
-      : saved_threads_(util::NumThreads()),
-        saved_det_(kernels::Deterministic()) {}
+  IvfTest() : saved_threads_(util::NumThreads()) {}
   ~IvfTest() override {
     util::SetNumThreads(saved_threads_);
-    kernels::SetDeterministic(saved_det_);
     kernels::ResetIsaFromEnv();
   }
 
   const int saved_threads_;
-  const bool saved_det_;
 };
 
 std::vector<float> RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
@@ -232,7 +228,6 @@ TEST_F(IvfTest, FullProbeWithFullRerankMatchesBruteForce) {
   // equal brute-force fp32 top-k (ids and order; scores equal for the
   // dense view, near-equal after int8 rerank since rerank is exact over
   // the decoded rows).
-  kernels::SetDeterministic(true);
   const int64_t rows = 400, cols = 16;
   const std::vector<float> data = RandomMatrix(rows, cols, 8);
   ag::Tensor items(static_cast<int32_t>(rows), static_cast<int32_t>(cols));
@@ -293,7 +288,6 @@ TEST_F(IvfTest, FullProbeWithFullRerankMatchesBruteForce) {
 TEST_F(IvfTest, PartialProbeRecallIsHighOnClusteredData) {
   // Clustered data (what IVF is for): planted centers, small noise. A
   // modest nprobe must recover most of the exact top-k.
-  kernels::SetDeterministic(true);
   const int64_t rows = 2000, cols = 16;
   const int32_t planted = 20;
   util::Rng rng(10);

@@ -1,16 +1,15 @@
 // Kernel parity suite: every dispatched ISA variant must reproduce the
-// scalar reference BIT FOR BIT in deterministic mode (memcmp on the raw
-// float buffers — tolerance checks would hide accumulation-order drift),
-// and stay within rounding tolerance of it in fast mode. Exercised for
+// scalar reference BIT FOR BIT (memcmp on the raw float buffers —
+// tolerance checks would hide accumulation-order drift). Exercised for
 // every GEMM transpose combination, ragged shapes that do not divide the
-// vector width or the ParallelFor grain, and thread counts 1/2/7.
+// vector width or the ParallelFor grain, the skinny shapes training
+// runs, and thread counts 1/2/7.
 //
 // Also holds the NaN-injection regression for the old GemmAcc sparse
 // skip (`if (av == 0.0f) continue;`): 0 * NaN must stay NaN on every
-// deterministic path, so --check-numerics sees anomalies no matter which
-// GEMM path a gradient took. Only fast mode may skip zero multipliers.
+// path, so --check-numerics sees anomalies no matter which GEMM path a
+// gradient took.
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -28,28 +27,26 @@ namespace {
 const int kThreadCounts[] = {1, 2, 7};
 
 // (m, n, k) shapes: minimal, ragged vs the 8-lane vector width, ragged
-// vs the 64-row ParallelFor grain, and one multi-chunk shape.
+// vs the 64-row ParallelFor grain, one multi-chunk shape, and the memory
+// gate and transform GEMMs training runs (d = 16, |M| = 8) over more
+// than three chunks.
 struct Shape {
   int64_t m, n, k;
 };
 const Shape kShapes[] = {
-    {1, 1, 1},   {3, 5, 7},    {17, 33, 9},
-    {64, 8, 32}, {65, 66, 67}, {130, 31, 48},
+    {1, 1, 1},    {3, 5, 7},     {17, 33, 9},  {64, 8, 32},
+    {65, 66, 67}, {130, 31, 48}, {200, 8, 16}, {200, 16, 8},
 };
 
 class KernelParityTest : public ::testing::Test {
  protected:
-  KernelParityTest()
-      : saved_threads_(util::NumThreads()),
-        saved_det_(kernels::Deterministic()) {}
+  KernelParityTest() : saved_threads_(util::NumThreads()) {}
   ~KernelParityTest() override {
     util::SetNumThreads(saved_threads_);
-    kernels::SetDeterministic(saved_det_);
     kernels::ResetIsaFromEnv();
   }
 
   const int saved_threads_;
-  const bool saved_det_;
 };
 
 std::vector<float> RandomVec(int64_t n, uint64_t seed) {
@@ -81,22 +78,6 @@ testing::AssertionResult BitIdentical(const std::vector<float>& a,
   return testing::AssertionSuccess();
 }
 
-testing::AssertionResult WithinTolerance(const std::vector<float>& a,
-                                         const std::vector<float>& b,
-                                         float tol) {
-  if (a.size() != b.size()) {
-    return testing::AssertionFailure() << "size mismatch";
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    const float denom = std::max(1.0f, std::fabs(a[i]));
-    if (std::fabs(a[i] - b[i]) / denom > tol) {
-      return testing::AssertionFailure()
-             << "element " << i << ": " << a[i] << " vs " << b[i];
-    }
-  }
-  return testing::AssertionSuccess();
-}
-
 // Scalar-reference GEMM over the full row range in one chunk — the
 // ground truth every dispatched configuration is compared against.
 std::vector<float> ReferenceGemm(const Shape& s, bool ta, bool tb,
@@ -115,7 +96,7 @@ std::vector<float> ReferenceGemm(const Shape& s, bool ta, bool tb,
   g.ldb = tb ? s.k : s.n;
   g.ta = ta;
   g.tb = tb;
-  kernels::ScalarGemmRows(g, 0, s.m, /*det=*/true);
+  kernels::ScalarGemmRows(g, 0, s.m);
   return out;
 }
 
@@ -136,7 +117,6 @@ std::vector<float> DispatchedGemm(const Shape& s, bool ta, bool tb,
 TEST_F(KernelParityTest, GemmDeterministicBitIdentical) {
   for (kernels::Isa isa : kernels::AvailableIsas()) {
     kernels::ForceIsa(isa);
-    kernels::SetDeterministic(true);
     for (const Shape& s : kShapes) {
       const auto a = RandomVec(s.m * s.k, 1);
       const auto b = RandomVec(s.k * s.n, 2);
@@ -158,40 +138,13 @@ TEST_F(KernelParityTest, GemmDeterministicBitIdentical) {
   }
 }
 
-TEST_F(KernelParityTest, GemmFastModeWithinTolerance) {
-  for (kernels::Isa isa : kernels::AvailableIsas()) {
-    kernels::ForceIsa(isa);
-    for (const Shape& s : kShapes) {
-      const auto a = RandomVec(s.m * s.k, 4);
-      const auto b = RandomVec(s.k * s.n, 5);
-      const auto init = RandomVec(s.m * s.n, 6);
-      for (bool ta : {false, true}) {
-        for (bool tb : {false, true}) {
-          const auto ref = ReferenceGemm(s, ta, tb, a, b, init);
-          for (int threads : kThreadCounts) {
-            util::SetNumThreads(threads);
-            kernels::SetDeterministic(false);
-            const auto got = DispatchedGemm(s, ta, tb, a, b, init);
-            kernels::SetDeterministic(true);
-            EXPECT_TRUE(WithinTolerance(ref, got, 1e-4f))
-                << kernels::IsaName(isa) << " ta=" << ta << " tb=" << tb
-                << " m=" << s.m << " n=" << s.n << " k=" << s.k
-                << " threads=" << threads;
-          }
-        }
-      }
-    }
-  }
-}
-
 // Regression for the old sparse skip: a zero in A multiplying a NaN (or
-// Inf) in B must poison the output in deterministic mode on EVERY path
-// and every ISA — 0 * NaN is NaN, and --check-numerics depends on it.
+// Inf) in B must poison the output on EVERY path and every ISA —
+// 0 * NaN is NaN, and --check-numerics depends on it.
 TEST_F(KernelParityTest, GemmDeterministicPropagatesNanThroughZero) {
   const Shape s{5, 6, 4};
   for (kernels::Isa isa : kernels::AvailableIsas()) {
     kernels::ForceIsa(isa);
-    kernels::SetDeterministic(true);
     for (bool ta : {false, true}) {
       for (bool tb : {false, true}) {
         // A is all zeros; B carries one NaN and one Inf. Every output
@@ -253,7 +206,7 @@ TEST_F(KernelParityTest, SpmmParityAcrossIsasAndThreads) {
   const Csr m = RandomCsr(/*rows=*/150, /*cols=*/90, /*density=*/0.15, 7);
   for (int64_t d : kDims) {
     const auto x = RandomVec(m.cols * d, 8);
-    // Ground truth: scalar reference, full range, deterministic.
+    // Ground truth: scalar reference, full range.
     std::vector<float> ref(static_cast<size_t>(m.rows * d), -1.0f);
     kernels::SpmmView sv;
     sv.indptr = m.indptr.data();
@@ -262,89 +215,77 @@ TEST_F(KernelParityTest, SpmmParityAcrossIsasAndThreads) {
     sv.x = x.data();
     sv.y = ref.data();
     sv.d = d;
-    kernels::ScalarKernelTable()->spmm_rows(sv, 0, m.rows, /*det=*/true);
+    kernels::ScalarKernelTable()->spmm_rows(sv, 0, m.rows);
     for (kernels::Isa isa : kernels::AvailableIsas()) {
       kernels::ForceIsa(isa);
       for (int threads : kThreadCounts) {
         util::SetNumThreads(threads);
         std::vector<float> got(static_cast<size_t>(m.rows * d), -1.0f);
-        kernels::SetDeterministic(true);
         kernels::Spmm(m.indptr.data(), m.indices.data(), m.values.data(),
                       m.rows, x.data(), d, got.data());
         EXPECT_TRUE(BitIdentical(ref, got))
             << kernels::IsaName(isa) << " d=" << d
             << " threads=" << threads;
-        kernels::SetDeterministic(false);
-        kernels::Spmm(m.indptr.data(), m.indices.data(), m.values.data(),
-                      m.rows, x.data(), d, got.data());
-        kernels::SetDeterministic(true);
-        EXPECT_TRUE(WithinTolerance(ref, got, 1e-4f))
-            << kernels::IsaName(isa) << " d=" << d
-            << " threads=" << threads << " (fast)";
       }
     }
   }
 }
 
-// Elementwise kernels promise bit-identity across ISAs in BOTH modes
-// (they never use FMA or reassociate).
-TEST_F(KernelParityTest, ElementwiseBitIdenticalInBothModes) {
+// Elementwise kernels are bit-identical across ISAs (they never use FMA
+// or reassociate).
+TEST_F(KernelParityTest, ElementwiseBitIdenticalAcrossIsas) {
   const int64_t kSizes[] = {1, 7, 8, 33, 4096, 5000};
   for (int64_t n : kSizes) {
     const auto x = RandomVec(n, 9);
     const auto g = RandomVec(n, 10);
     const auto y0 = RandomVec(n, 11);
-    for (bool det : {true, false}) {
-      // References from the scalar table.
-      kernels::ForceIsa(kernels::Isa::kScalar);
-      kernels::SetDeterministic(det);
-      auto ref_add = y0;
-      kernels::AddInto(ref_add.data(), x.data(), n);
-      auto ref_axpy = y0;
-      kernels::AxpyInto(ref_axpy.data(), 0.37f, x.data(), n);
-      auto ref_scale = y0;
-      kernels::ScaleInto(ref_scale.data(), -1.21f, n);
-      auto ref_mul = y0;
-      kernels::MulInto(ref_mul.data(), x.data(), n);
-      auto ref_muladd = y0;
-      kernels::MulAddInto(ref_muladd.data(), g.data(), x.data(), n);
-      auto ref_lrelu = y0;
-      kernels::LeakyReluForward(ref_lrelu.data(), n, 0.2f);
-      auto ref_lrelu_bwd = y0;
-      kernels::LeakyReluBackward(ref_lrelu_bwd.data(), g.data(), x.data(),
-                                 n, 0.2f);
-      for (kernels::Isa isa : kernels::AvailableIsas()) {
-        kernels::ForceIsa(isa);
-        auto got = y0;
-        kernels::AddInto(got.data(), x.data(), n);
-        EXPECT_TRUE(BitIdentical(ref_add, got))
-            << "AddInto " << kernels::IsaName(isa) << " n=" << n;
-        got = y0;
-        kernels::AxpyInto(got.data(), 0.37f, x.data(), n);
-        EXPECT_TRUE(BitIdentical(ref_axpy, got))
-            << "AxpyInto " << kernels::IsaName(isa) << " n=" << n;
-        got = y0;
-        kernels::ScaleInto(got.data(), -1.21f, n);
-        EXPECT_TRUE(BitIdentical(ref_scale, got))
-            << "ScaleInto " << kernels::IsaName(isa) << " n=" << n;
-        got = y0;
-        kernels::MulInto(got.data(), x.data(), n);
-        EXPECT_TRUE(BitIdentical(ref_mul, got))
-            << "MulInto " << kernels::IsaName(isa) << " n=" << n;
-        got = y0;
-        kernels::MulAddInto(got.data(), g.data(), x.data(), n);
-        EXPECT_TRUE(BitIdentical(ref_muladd, got))
-            << "MulAddInto " << kernels::IsaName(isa) << " n=" << n;
-        got = y0;
-        kernels::LeakyReluForward(got.data(), n, 0.2f);
-        EXPECT_TRUE(BitIdentical(ref_lrelu, got))
-            << "LeakyReluForward " << kernels::IsaName(isa) << " n=" << n;
-        got = y0;
-        kernels::LeakyReluBackward(got.data(), g.data(), x.data(), n, 0.2f);
-        EXPECT_TRUE(BitIdentical(ref_lrelu_bwd, got))
-            << "LeakyReluBackward " << kernels::IsaName(isa) << " n=" << n;
-      }
-      kernels::SetDeterministic(true);
+    // References from the scalar table.
+    kernels::ForceIsa(kernels::Isa::kScalar);
+    auto ref_add = y0;
+    kernels::AddInto(ref_add.data(), x.data(), n);
+    auto ref_axpy = y0;
+    kernels::AxpyInto(ref_axpy.data(), 0.37f, x.data(), n);
+    auto ref_scale = y0;
+    kernels::ScaleInto(ref_scale.data(), -1.21f, n);
+    auto ref_mul = y0;
+    kernels::MulInto(ref_mul.data(), x.data(), n);
+    auto ref_muladd = y0;
+    kernels::MulAddInto(ref_muladd.data(), g.data(), x.data(), n);
+    auto ref_lrelu = y0;
+    kernels::LeakyReluForward(ref_lrelu.data(), n, 0.2f);
+    auto ref_lrelu_bwd = y0;
+    kernels::LeakyReluBackward(ref_lrelu_bwd.data(), g.data(), x.data(),
+                               n, 0.2f);
+    for (kernels::Isa isa : kernels::AvailableIsas()) {
+      kernels::ForceIsa(isa);
+      auto got = y0;
+      kernels::AddInto(got.data(), x.data(), n);
+      EXPECT_TRUE(BitIdentical(ref_add, got))
+          << "AddInto " << kernels::IsaName(isa) << " n=" << n;
+      got = y0;
+      kernels::AxpyInto(got.data(), 0.37f, x.data(), n);
+      EXPECT_TRUE(BitIdentical(ref_axpy, got))
+          << "AxpyInto " << kernels::IsaName(isa) << " n=" << n;
+      got = y0;
+      kernels::ScaleInto(got.data(), -1.21f, n);
+      EXPECT_TRUE(BitIdentical(ref_scale, got))
+          << "ScaleInto " << kernels::IsaName(isa) << " n=" << n;
+      got = y0;
+      kernels::MulInto(got.data(), x.data(), n);
+      EXPECT_TRUE(BitIdentical(ref_mul, got))
+          << "MulInto " << kernels::IsaName(isa) << " n=" << n;
+      got = y0;
+      kernels::MulAddInto(got.data(), g.data(), x.data(), n);
+      EXPECT_TRUE(BitIdentical(ref_muladd, got))
+          << "MulAddInto " << kernels::IsaName(isa) << " n=" << n;
+      got = y0;
+      kernels::LeakyReluForward(got.data(), n, 0.2f);
+      EXPECT_TRUE(BitIdentical(ref_lrelu, got))
+          << "LeakyReluForward " << kernels::IsaName(isa) << " n=" << n;
+      got = y0;
+      kernels::LeakyReluBackward(got.data(), g.data(), x.data(), n, 0.2f);
+      EXPECT_TRUE(BitIdentical(ref_lrelu_bwd, got))
+          << "LeakyReluBackward " << kernels::IsaName(isa) << " n=" << n;
     }
   }
 }
@@ -374,23 +315,20 @@ TEST_F(KernelParityTest, LeakyReluNanAndSignedZeroLanes) {
   }
 }
 
-TEST_F(KernelParityTest, DotDeterministicExactFastTolerant) {
+// Dot is the serial index-order sum whatever ISA is forced.
+TEST_F(KernelParityTest, DotBitIdenticalToSerialSum) {
   const int64_t kSizes[] = {1, 7, 8, 31, 64, 333};
   for (int64_t n : kSizes) {
     const auto a = RandomVec(n, 12);
     const auto b = RandomVec(n, 13);
-    const float ref = kernels::ScalarDot(a.data(), b.data(), n,
-                                         /*det=*/true);
+    float ref = 0.0f;
+    for (int64_t i = 0; i < n; ++i) {
+      ref += a[static_cast<size_t>(i)] * b[static_cast<size_t>(i)];
+    }
     for (kernels::Isa isa : kernels::AvailableIsas()) {
       kernels::ForceIsa(isa);
-      kernels::SetDeterministic(true);
-      const float det_got = kernels::Dot(a.data(), b.data(), n);
-      EXPECT_EQ(0, std::memcmp(&ref, &det_got, sizeof(float)))
-          << kernels::IsaName(isa) << " n=" << n;
-      kernels::SetDeterministic(false);
-      const float fast_got = kernels::Dot(a.data(), b.data(), n);
-      kernels::SetDeterministic(true);
-      EXPECT_NEAR(ref, fast_got, 1e-4f * std::max(1.0f, std::fabs(ref)))
+      const float got = kernels::Dot(a.data(), b.data(), n);
+      EXPECT_EQ(0, std::memcmp(&ref, &got, sizeof(float)))
           << kernels::IsaName(isa) << " n=" << n;
     }
   }

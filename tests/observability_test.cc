@@ -251,6 +251,24 @@ TEST_F(ObservabilityEngineTest, InjectedExecuteDelayLandsInQueueStage) {
   EXPECT_GE(stage_sum, 0.8 * t.total_seconds);  // nothing unattributed
 }
 
+// Routed serving fetches every known user's scoring vector through
+// kUserVector, so that op's time must land in the recal stage as topk's
+// does, not in a remainder no stage names.
+TEST_F(ObservabilityEngineTest, UserVectorTimeLandsInRecalStage) {
+  ServingEngine engine;
+  engine.Swap(snapshot_);
+  std::vector<RequestTrace> traces;
+  engine.SetTraceSink([&](const RequestTrace& t) { traces.push_back(t); });
+  Request r;
+  r.type = Request::Type::kUserVector;
+  r.user = 0;
+  const Response resp = engine.Handle(r);
+  ASSERT_TRUE(resp.ok);
+  ASSERT_FALSE(resp.vector.empty());
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_GT(traces[0].recal_seconds, 0.0);
+}
+
 TEST_F(ObservabilityEngineTest, SampleOnceAccountsOutcomes) {
   ServingEngine engine;
   engine.Swap(snapshot_);

@@ -1,8 +1,7 @@
 // Quantization subsystem tests: the fp16 software converters (RNE,
 // subnormals, infinities, NaN), the int8 per-row codec's error bound,
-// and the DotQ8 / DotF16 dispatch contract — deterministic mode must be
-// bit-identical to the scalar reference on every available ISA, fast
-// mode within accumulation tolerance.
+// and the DotQ8 / DotF16 dispatch contract — bit-identical to the serial
+// index-order sum on every available ISA.
 
 #include <cmath>
 #include <cstdint>
@@ -22,17 +21,13 @@ namespace {
 
 class QuantTest : public ::testing::Test {
  protected:
-  QuantTest()
-      : saved_threads_(util::NumThreads()),
-        saved_det_(kernels::Deterministic()) {}
+  QuantTest() : saved_threads_(util::NumThreads()) {}
   ~QuantTest() override {
     util::SetNumThreads(saved_threads_);
-    kernels::SetDeterministic(saved_det_);
     kernels::ResetIsaFromEnv();
   }
 
   const int saved_threads_;
-  const bool saved_det_;
 };
 
 std::vector<float> RandomVec(int64_t n, uint64_t seed, float lo = -1.0f,
@@ -195,8 +190,11 @@ TEST_F(QuantTest, DotQ8DeterministicBitIdenticalAcrossIsas) {
     for (int8_t& v : q) {
       v = static_cast<int8_t>(rng.UniformInt(255) - 127);
     }
-    kernels::SetDeterministic(true);
-    const float ref = kernels::ScalarDotQ8(a.data(), q.data(), n, true);
+    float ref = 0.0f;
+    for (int64_t i = 0; i < n; ++i) {
+      ref += a[static_cast<size_t>(i)] *
+             static_cast<float>(q[static_cast<size_t>(i)]);
+    }
     for (kernels::Isa isa : kernels::AvailableIsas()) {
       kernels::ForceIsa(isa);
       const float got = kernels::DotQ8(a.data(), q.data(), n);
@@ -215,8 +213,11 @@ TEST_F(QuantTest, DotF16DeterministicBitIdenticalAcrossIsas) {
       h[static_cast<size_t>(i)] =
           kernels::Fp32ToFp16(bf[static_cast<size_t>(i)]);
     }
-    kernels::SetDeterministic(true);
-    const float ref = kernels::ScalarDotF16(a.data(), h.data(), n, true);
+    float ref = 0.0f;
+    for (int64_t i = 0; i < n; ++i) {
+      ref += a[static_cast<size_t>(i)] *
+             kernels::Fp16ToFp32(h[static_cast<size_t>(i)]);
+    }
     for (kernels::Isa isa : kernels::AvailableIsas()) {
       kernels::ForceIsa(isa);
       const float got = kernels::DotF16(a.data(), h.data(), n);
@@ -226,39 +227,9 @@ TEST_F(QuantTest, DotF16DeterministicBitIdenticalAcrossIsas) {
   }
 }
 
-TEST_F(QuantTest, FastModeWithinAccumulationTolerance) {
-  const int64_t n = 257;
-  const std::vector<float> a = RandomVec(n, 5);
-  std::vector<int8_t> q(static_cast<size_t>(n));
-  std::vector<uint16_t> h(static_cast<size_t>(n));
-  util::Rng rng(6);
-  for (int64_t i = 0; i < n; ++i) {
-    q[static_cast<size_t>(i)] =
-        static_cast<int8_t>(rng.UniformInt(255) - 127);
-    h[static_cast<size_t>(i)] =
-        kernels::Fp32ToFp16(rng.UniformFloat(-1.0f, 1.0f));
-  }
-  kernels::SetDeterministic(true);
-  const float q8_ref = kernels::DotQ8(a.data(), q.data(), n);
-  const float f16_ref = kernels::DotF16(a.data(), h.data(), n);
-  kernels::SetDeterministic(false);
-  for (kernels::Isa isa : kernels::AvailableIsas()) {
-    kernels::ForceIsa(isa);
-    EXPECT_NEAR(kernels::DotQ8(a.data(), q.data(), n), q8_ref,
-                1e-2f * static_cast<float>(n))
-        << kernels::IsaName(isa);
-    EXPECT_NEAR(kernels::DotF16(a.data(), h.data(), n), f16_ref,
-                1e-3f * static_cast<float>(n))
-        << kernels::IsaName(isa);
-  }
-  kernels::ResetIsaFromEnv();
-}
-
 TEST_F(QuantTest, QuantizedMatrixDotMatchesDequantizedScan) {
   // QuantizedMatrix::Dot (scale * DotQ8 / DotF16) must equal the dot of
-  // the query with the dequantized row, in deterministic mode, for both
-  // codecs.
-  kernels::SetDeterministic(true);
+  // the query with the dequantized row, for both codecs.
   const int64_t rows = 23, cols = 33;
   const std::vector<float> data = RandomVec(rows * cols, 11);
   const std::vector<float> x = RandomVec(cols, 12);

@@ -52,6 +52,27 @@ std::string WithFixedChecksum(std::string bytes) {
   return bytes;
 }
 
+// Offset of section `id`'s payload in a snapshot file image: 8B magic,
+// u32 section count, then (u32 id, u64 payload bytes, payload) each.
+size_t SectionPayloadOffset(const std::string& bytes, uint32_t id) {
+  size_t pos = 8;
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + pos, sizeof(count));
+  pos += sizeof(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t section = 0;
+    uint64_t payload = 0;
+    std::memcpy(&section, bytes.data() + pos, sizeof(section));
+    std::memcpy(&payload, bytes.data() + pos + sizeof(section),
+                sizeof(payload));
+    pos += sizeof(section) + sizeof(payload);
+    if (section == id) return pos;
+    pos += payload;
+  }
+  ADD_FAILURE() << "snapshot has no section " << id;
+  return 0;
+}
+
 class SnapshotTest : public ::testing::Test {
  protected:
   SnapshotTest()
@@ -252,6 +273,67 @@ TEST_F(SnapshotTest, RejectsOutOfRangeIds) {
   EXPECT_NE(loaded.status().message().find("beyond catalog"),
             std::string::npos)
       << loaded.status().ToString();
+}
+
+// Writes `snap`, overwrites the bytes at `offset` into section `id`'s
+// payload with `value`, re-stamps the checksum and reads the file back.
+template <typename T>
+util::Status ReadWithPatchedSection(const Snapshot& snap,
+                                    const std::string& name, uint32_t id,
+                                    size_t offset, T value) {
+  const std::string path = TestPath(name);
+  EXPECT_TRUE(WriteSnapshot(snap, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  std::memcpy(bytes.data() + SectionPayloadOffset(bytes, id) + offset,
+              &value, sizeof(value));
+  WriteFileBytes(path, WithFixedChecksum(bytes));
+  return ReadSnapshot(path).status();
+}
+
+// A count, length or shape is checked against the bytes its section
+// holds before anything is sized from it: each file below used to abort
+// the reader with std::bad_alloc instead of returning a Status.
+TEST_F(SnapshotTest, RejectsListCountBeyondSectionBytes) {
+  const util::Status s = ReadWithPatchedSection(
+      snapshot_, "snap_bad_list_count.bin", serve::internal::kSectionSeen,
+      0, uint64_t{1} << 32);
+  EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("implausible seen list count"),
+            std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(SnapshotTest, RejectsListLengthBeyondSectionBytes) {
+  // The first list's u32 length follows the section's u64 list count.
+  const util::Status s = ReadWithPatchedSection(
+      snapshot_, "snap_bad_list_len.bin", serve::internal::kSectionSeen,
+      sizeof(uint64_t), uint32_t{0xFFFFFFFFu});
+  EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("seen entries"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(SnapshotTest, RejectsShapesBeyondSectionBytes) {
+  const int64_t rows = int64_t{1} << 32;
+  util::Status s = ReadWithPatchedSection(
+      snapshot_, "snap_bad_rows.bin", serve::internal::kSectionUsers, 0,
+      rows);
+  EXPECT_NE(s.message().find("user embeddings values"), std::string::npos)
+      << s.ToString();
+  s = ReadWithPatchedSection(snapshot_, "snap_bad_counts.bin",
+                             serve::internal::kSectionItemCounts, 0,
+                             uint64_t{1} << 32);
+  EXPECT_NE(s.message().find("item counts"), std::string::npos)
+      << s.ToString();
+  Snapshot quantized = snapshot_;
+  ASSERT_TRUE(serve::QuantizeSnapshot(&quantized, quant::Codec::kInt8).ok());
+  // Quantized sections start with a u8 codec, then the i64 row count.
+  s = ReadWithPatchedSection(quantized, "snap_bad_quant_rows.bin",
+                             serve::internal::kSectionQuantItems,
+                             sizeof(uint8_t), rows);
+  EXPECT_NE(s.message().find("quantized item embeddings values"),
+            std::string::npos)
+      << s.ToString();
 }
 
 TEST_F(SnapshotTest, AtomicWriteKeepsPreviousSnapshotOnOverwrite) {
