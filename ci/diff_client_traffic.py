@@ -7,9 +7,7 @@ timings) through dgnn_serve and dgnn_router of two build trees, and
 compares their stdout byte for byte. The single-process session also
 runs against an int8+IVF export (probed with --nprobe=12, as
 ci/check_index.sh serves it) and an fp16 export, so every storage
-format and the quantized rerank are diffed too, and the router session
-runs a second time with --hedge-ms=1 so the hedged dispatch path is
-diffed as well. Use it to show that a
+format and the quantized rerank are diffed too. Use it to show that a
 change to the serving front doors or the rankers leaves every response
 line as it was.
 
@@ -97,7 +95,7 @@ def serve_stdout(build, snapshot, session, *extra):
     assert p.returncode == 0, p.stderr
     return p.stdout
 
-def router_stdout(build, *extra):
+def router_stdout(build):
     socks = [f"{work}/s{s}.sock" for s in range(3)]
     workers = [subprocess.Popen(
         [f"{build}/examples/dgnn_serve", f"--snapshot={work}/snap.bin.shard{s}of3",
@@ -112,7 +110,7 @@ def router_stdout(build, *extra):
         p = subprocess.run(
             [f"{build}/examples/dgnn_router", f"--shards={','.join(socks)}",
              "--deadline-ms=5000", "--shard-timeout-ms=500",
-             "--probe-interval-ms=30", "--retries=2", *extra],
+             "--probe-interval-ms=30", "--retries=2"],
             input=lines(router_session), capture_output=True, text=True,
             timeout=120)
         assert p.returncode == 0, p.stderr
@@ -133,9 +131,7 @@ for name, fn in [
                                 "--nprobe=12")),
         ("dgnn_serve fp16 single session",
          lambda b: serve_stdout(b, f"{work}/snap_f16.bin", single_session)),
-        ("dgnn_router check_shard session", router_stdout),
-        ("dgnn_router hedged check_shard session",
-         lambda b: router_stdout(b, "--hedge-ms=1"))]:
+        ("dgnn_router check_shard session", router_stdout)]:
     a = fn(old_build)
     b = fn(new_build)
     stem = f"{work}/{name.replace(' ', '_')}"

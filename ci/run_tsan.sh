@@ -9,8 +9,8 @@
 #
 # Usage: ci/run_tsan.sh [build-dir]   (default: build-tsan)
 #
-# DGNN_SANITIZE=address works the same way for an ASan job:
-#   cmake -B build-asan -S . -DDGNN_SANITIZE=address
+# ci/run_asan.sh and ci/run_ubsan.sh run the whole suite under ASan and
+# UBSan the same way.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,7 +53,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 # 1/7 and requires bit-identical serialized bytes (the disjoint-slot
 # assignment-scan claim); shard_router_test runs a live 3-worker fleet
 # with a multi-threaded router (the probe loop, concurrent shedding
-# clients, each dispatching and hedging on its own thread) against
+# clients, each dispatching on its own thread) against
 # SocketServer's per-connection threads, and connect/close cycles that
 # make SocketServer reap ended connection threads — the widest
 # cross-thread surface in the repo;

@@ -25,10 +25,9 @@
 // when EVERY shard is unreachable does an op return ok=false.
 //
 // Robustness knobs: --retries=N (transient transport errors, capped
-// backoff), --hedge-ms=T (a second connection to a shard that has
-// neither answered nor failed after T ms; first answer wins),
-// --deadline-ms=T (admission deadline, propagated minus elapsed time to
-// each shard), --shard-timeout-ms=T (per-attempt budget),
+// backoff), --deadline-ms=T (admission deadline, propagated minus
+// elapsed time to each shard), --shard-timeout-ms=T (per-attempt
+// budget, > 0),
 // --max-inflight=N (fleet-wide shedding, "overloaded" like dgnn_serve).
 // Health probing: --probe-interval-ms / --probe-timeout-ms drive the
 // per-shard healthy/degraded/down state machine shown by "stats".
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
         stderr,
         "usage: dgnn_router --shards=SOCK0,SOCK1,... (shard-index order)\n"
         "  [--deadline-ms=T] [--shard-timeout-ms=T] [--connect-timeout-ms=T]\n"
-        "  [--retries=N] [--hedge-ms=T] [--max-inflight=N]\n"
+        "  [--retries=N] [--max-inflight=N]\n"
         "  [--probe-interval-ms=T] [--probe-timeout-ms=T]\n"
         "  [--swap-timeout-ms=T] [--run-log=F]\n"
         "  [--replay-trace=F [--workers=N] [--bench-json=OUT]\n"
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("swap-timeout-ms", 10000));
   config.default_deadline_ms = flags.GetInt("deadline-ms", 0);
   config.retries = static_cast<int>(flags.GetInt("retries", 2));
-  config.hedge_ms = static_cast<int>(flags.GetInt("hedge-ms", 0));
   config.probe_interval_ms =
       static_cast<int>(flags.GetInt("probe-interval-ms", 100));
   config.max_inflight = static_cast<int>(flags.GetInt("max-inflight", 0));
@@ -156,11 +154,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "dgnn_router: fleet of %d shard(s) — %lld users, %lld "
-               "items, dim %lld (retries=%d hedge_ms=%d deadline_ms=%lld)\n",
+               "items, dim %lld (retries=%d deadline_ms=%lld)\n",
                router.num_shards(), (long long)router.num_users(),
                (long long)router.num_items(), (long long)router.dim(),
-               config.retries, config.hedge_ms,
-               (long long)config.default_deadline_ms);
+               config.retries, (long long)config.default_deadline_ms);
   if (runlog::Active()) {
     util::JsonObject o;
     o.Set("num_shards", static_cast<int64_t>(router.num_shards()))
@@ -168,7 +165,6 @@ int main(int argc, char** argv) {
         .Set("num_items", router.num_items())
         .Set("dim", router.dim())
         .Set("retries", static_cast<int64_t>(config.retries))
-        .Set("hedge_ms", static_cast<int64_t>(config.hedge_ms))
         .Set("deadline_ms", config.default_deadline_ms)
         .Set("max_inflight", static_cast<int64_t>(config.max_inflight));
     runlog::Emit("router_start", o);
@@ -205,7 +201,6 @@ int main(int argc, char** argv) {
     o.Set("num_shards", static_cast<int64_t>(router.num_shards()))
         .Set("down_shards", static_cast<int64_t>(down))
         .Set("shard_retries", c.retries)
-        .Set("shard_hedges", c.hedges)
         .Set("shard_failovers", c.failovers)
         .Set("shard_degraded_responses", c.degraded_responses);
     std::cout << o.Build() << std::endl;
@@ -221,7 +216,6 @@ int main(int argc, char** argv) {
       point.Set("num_shards", static_cast<int64_t>(router.num_shards()))
           .Set("killed_shards", static_cast<int64_t>(down))
           .Set("shard_retries", c.retries)
-          .Set("shard_hedges", c.hedges)
           .Set("shard_failovers", c.failovers)
           .Set("shard_degraded_responses", c.degraded_responses);
       serve::BenchHeader header;
@@ -250,7 +244,6 @@ int main(int argc, char** argv) {
     o.Set("reason", exit_reason)
         .Set("requests", c.requests)
         .Set("retries", c.retries)
-        .Set("hedges", c.hedges)
         .Set("failovers", c.failovers)
         .Set("degraded_responses", c.degraded_responses)
         .Set("shed", c.shed);
@@ -258,12 +251,11 @@ int main(int argc, char** argv) {
     runlog::Close();
   }
   std::fprintf(stderr,
-               "dgnn_router: %lld requests, %lld retries, %lld hedges, "
-               "%lld failovers, %lld degraded, %lld shed (%s)\n",
+               "dgnn_router: %lld requests, %lld retries, %lld failovers, "
+               "%lld degraded, %lld shed (%s)\n",
                (long long)c.requests, (long long)c.retries,
-               (long long)c.hedges, (long long)c.failovers,
-               (long long)c.degraded_responses, (long long)c.shed,
-               exit_reason);
+               (long long)c.failovers, (long long)c.degraded_responses,
+               (long long)c.shed, exit_reason);
   router.Stop();
   return exit_code;
 }

@@ -1,6 +1,18 @@
 #include "shard/health.h"
 
 namespace dgnn::shard {
+namespace {
+
+// Consecutive probe failures that take a shard down.
+constexpr int kDownAfterProbeFailures = 3;
+// EWMA smoothing factor for per-request outcomes.
+constexpr double kEwmaAlpha = 0.2;
+// Failure-rate EWMA above this -> degraded.
+constexpr double kDegradeThreshold = 0.5;
+// ... and back below this -> healthy (hysteresis band).
+constexpr double kRecoverThreshold = 0.1;
+
+}  // namespace
 
 const char* HealthStateName(HealthState s) {
   switch (s) {
@@ -20,29 +32,27 @@ void ShardHealth::RecordProbe(bool ok) {
       // the degrade threshold, so a run of clean outcomes (not just one
       // lucky probe) is what restores full health.
       state_ = HealthState::kDegraded;
-      ewma_ = config_.degrade_threshold;
+      ewma_ = kDegradeThreshold;
     }
     return;
   }
   ++consecutive_probe_failures_;
-  if (consecutive_probe_failures_ >= config_.down_after_probe_failures) {
+  if (consecutive_probe_failures_ >= kDownAfterProbeFailures) {
     state_ = HealthState::kDown;
   }
 }
 
 void ShardHealth::RecordOutcome(bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
-  ewma_ = (1.0 - config_.ewma_alpha) * ewma_ +
-          config_.ewma_alpha * (ok ? 0.0 : 1.0);
+  ewma_ = (1.0 - kEwmaAlpha) * ewma_ + kEwmaAlpha * (ok ? 0.0 : 1.0);
   if (state_ == HealthState::kDown) {
     // Only probes resurrect a down shard; a stray late success must not.
     return;
   }
-  if (state_ == HealthState::kHealthy &&
-      ewma_ >= config_.degrade_threshold) {
+  if (state_ == HealthState::kHealthy && ewma_ >= kDegradeThreshold) {
     state_ = HealthState::kDegraded;
   } else if (state_ == HealthState::kDegraded &&
-             ewma_ <= config_.recover_threshold) {
+             ewma_ <= kRecoverThreshold) {
     state_ = HealthState::kHealthy;
   }
 }

@@ -1,21 +1,21 @@
 // Per-shard health state machine: healthy / degraded / down, driven by
 // two independent signals —
 //
-//  * heartbeat probes (RecordProbe): kConsecutiveProbeFailures missed
+//  * heartbeat probes (RecordProbe): kDownAfterProbeFailures (3) missed
 //    probes in a row take the shard DOWN; the first successful probe
 //    after that brings it back as DEGRADED (trust is re-earned, not
 //    restored wholesale) from where the outcome EWMA can recover it.
 //  * per-request outcomes (RecordOutcome): an exponentially-weighted
-//    moving average of the failure rate. Crossing degrade_threshold
-//    marks the shard DEGRADED; decaying back under recover_threshold
+//    moving average of the failure rate. Crossing kDegradeThreshold
+//    marks the shard DEGRADED; decaying back under kRecoverThreshold
 //    (hysteresis — the two thresholds differ so the state cannot
 //    flap on a single request) restores HEALTHY. Outcomes never take a
 //    shard down by themselves: only missed heartbeats prove a worker is
 //    unreachable, while failures may just mean overload.
 //
 // The router short-circuits dispatches to DOWN shards (fail fast, keep
-// probing), treats DEGRADED as servable-but-suspect (hedging applies),
-// and spreads normally over HEALTHY shards.
+// probing), and serves DEGRADED (servable-but-suspect, shown in stats)
+// and HEALTHY shards alike.
 
 #ifndef DGNN_SHARD_HEALTH_H_
 #define DGNN_SHARD_HEALTH_H_
@@ -28,21 +28,8 @@ enum class HealthState { kHealthy, kDegraded, kDown };
 
 const char* HealthStateName(HealthState s);
 
-struct HealthConfig {
-  // Consecutive probe failures that take a shard down.
-  int down_after_probe_failures = 3;
-  // EWMA smoothing factor for per-request outcomes.
-  double ewma_alpha = 0.2;
-  // Failure-rate EWMA above this -> degraded.
-  double degrade_threshold = 0.5;
-  // ... and back below this -> healthy (hysteresis band).
-  double recover_threshold = 0.1;
-};
-
 class ShardHealth {
  public:
-  explicit ShardHealth(HealthConfig config = {}) : config_(config) {}
-
   HealthState state() const {
     std::lock_guard<std::mutex> lock(mu_);
     return state_;
@@ -56,7 +43,6 @@ class ShardHealth {
   void RecordOutcome(bool ok);
 
  private:
-  const HealthConfig config_;
   mutable std::mutex mu_;
   HealthState state_ = HealthState::kHealthy;
   int consecutive_probe_failures_ = 0;

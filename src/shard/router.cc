@@ -69,17 +69,9 @@ void SortUniqueShards(std::vector<int32_t>* v) {
 
 // One shard's call within a Dispatch round.
 struct RoundCall {
-  TimePoint deadline;  // this round's budget for the shard
-  TimePoint hedge_at;  // TimePoint::max() once hedged or with hedging off
-  int live = 0;        // attempts still waiting for their reply
-  Status error = Status::Ok();  // first attempt failure
-};
-
-// One connection of a Dispatch round waiting for its reply line.
-struct Attempt {
-  size_t call = 0;  // index into the round's calls
-  std::unique_ptr<ShardConn> conn;
-  Clock::time_point t0;
+  size_t slot = 0;                  // index into Dispatch's results
+  std::unique_ptr<ShardConn> conn;  // null once the call has its outcome
+  Clock::time_point t0;             // when the call was made
 };
 
 }  // namespace
@@ -197,105 +189,73 @@ void Router::DispatchRound(const std::vector<int>& shards,
                            const std::string& line, TimePoint deadline,
                            const std::vector<size_t>& round,
                            std::vector<StatusOr<std::string>>* out) {
+  const TimePoint budget = std::min(
+      deadline,
+      Clock::now() + std::chrono::milliseconds(config_.shard_timeout_ms));
   std::vector<RoundCall> calls(round.size());
-  std::vector<Attempt> live;
-  const auto entry = [&](size_t c) -> ShardEntry& {
-    return *shards_[static_cast<size_t>(shards[round[c]])];
+  const auto entry = [&](const RoundCall& c) -> ShardEntry& {
+    return *shards_[static_cast<size_t>(shards[c.slot])];
   };
-  // An attempt counts in e.requests once it has an outcome; a hedge's
-  // closed loser has none.
-  const auto fail = [&](Attempt& a, Status st) {
-    ShardEntry& e = entry(a.call);
+  const auto fail = [&](RoundCall& c, Status st) {
+    ShardEntry& e = entry(c);
     e.requests.fetch_add(1, std::memory_order_relaxed);
     e.failures.fetch_add(1, std::memory_order_relaxed);
     e.health.RecordOutcome(false);
-    a.conn.reset();
-    RoundCall& call = calls[a.call];
-    if (call.error.ok()) call.error = std::move(st);
-    if (--call.live == 0) (*out)[round[a.call]] = call.error;
+    c.conn.reset();
+    (*out)[c.slot] = std::move(st);
   };
-  // One attempt: the shard.dispatch failpoint, a pooled or fresh
-  // connection, and the send.
-  const auto launch = [&](size_t c) {
-    ShardEntry& e = entry(c);
-    live.push_back({c, nullptr, Clock::now()});
-    ++calls[c].live;
+  // One attempt per call: the shard.dispatch failpoint, a pooled or
+  // fresh connection, and the send.
+  for (size_t i = 0; i < calls.size(); ++i) {
+    RoundCall& c = calls[i];
+    c.slot = round[i];
+    c.t0 = Clock::now();
     Status st = failpoint::Enabled() ? failpoint::Check("shard.dispatch")
                                      : Status::Ok();
     if (st.ok()) {
-      auto conn = GetConn(e);
-      st = conn.ok() ? conn.value()->Send(line, calls[c].deadline)
-                     : conn.status();
-      if (st.ok()) live.back().conn = std::move(conn).value();
+      auto conn = GetConn(entry(c));
+      st = conn.ok() ? conn.value()->Send(line, budget) : conn.status();
+      if (st.ok()) c.conn = std::move(conn).value();
     }
-    if (!st.ok()) fail(live.back(), std::move(st));
-  };
-
-  const auto start = Clock::now();
-  for (size_t c = 0; c < calls.size(); ++c) {
-    calls[c].deadline = std::min(
-        deadline, start + std::chrono::milliseconds(config_.shard_timeout_ms));
-    calls[c].hedge_at =
-        config_.hedge_ms > 0
-            ? start + std::chrono::milliseconds(config_.hedge_ms)
-            : TimePoint::max();
-    launch(c);
+    if (!st.ok()) fail(c, std::move(st));
   }
-  std::vector<pollfd> fds;
-  while (!live.empty()) {
-    // Expire calls past their budget and hedge the stragglers.
-    const auto now = Clock::now();
-    TimePoint wake = TimePoint::max();
-    for (size_t c = 0; c < calls.size(); ++c) {
-      if (calls[c].live == 0) continue;
-      if (now >= calls[c].deadline) {
-        for (Attempt& a : live) {
-          if (a.conn != nullptr && a.call == c) {
-            fail(a, Status::DeadlineExceeded("shard call read"));
-          }
-        }
-        continue;
-      }
-      if (now >= calls[c].hedge_at) {
-        // The primary has neither answered nor failed: race a second
-        // connection, first answer wins.
-        calls[c].hedge_at = TimePoint::max();
-        n_hedges_.fetch_add(1, std::memory_order_relaxed);
-        BumpTelemetry("serve.shard.hedges");
-        launch(c);
-      }
-      wake = std::min({wake, calls[c].deadline, calls[c].hedge_at});
+  std::vector<pollfd> fds(calls.size());
+  for (;;) {
+    // poll() skips the negative fd of a call that has its outcome.
+    size_t waiting = 0;
+    for (size_t i = 0; i < calls.size(); ++i) {
+      const ShardConn* conn = calls[i].conn.get();
+      fds[i] = {conn != nullptr ? conn->fd() : -1, POLLIN, 0};
+      if (conn != nullptr) ++waiting;
     }
-    live.erase(std::remove_if(
-                   live.begin(), live.end(),
-                   [](const Attempt& a) { return a.conn == nullptr; }),
-               live.end());
-    if (live.empty()) break;
-    fds.clear();
-    for (const Attempt& a : live) fds.push_back({a.conn->fd(), POLLIN, 0});
-    if (poll(fds.data(), fds.size(), PollTimeoutMs(wake)) <= 0) continue;
-    for (size_t i = 0; i < live.size(); ++i) {
-      Attempt& a = live[i];
-      if (a.conn == nullptr || fds[i].revents == 0) continue;
+    if (waiting == 0) return;
+    if (Clock::now() >= budget) {
+      // A connection still waiting owes a reply that would desync it in
+      // the pool: fail its call and close it.
+      for (RoundCall& c : calls) {
+        if (c.conn != nullptr) {
+          fail(c, Status::DeadlineExceeded("shard call read"));
+        }
+      }
+      return;
+    }
+    if (poll(fds.data(), fds.size(), PollTimeoutMs(budget)) <= 0) continue;
+    for (size_t i = 0; i < calls.size(); ++i) {
+      RoundCall& c = calls[i];
+      if (c.conn == nullptr || fds[i].revents == 0) continue;
       std::string reply;
-      auto got = a.conn->ReadLine(&reply);
+      auto got = c.conn->ReadLine(&reply);
       if (!got.ok()) {
-        fail(a, got.status());
+        fail(c, got.status());
       } else if (got.value()) {
-        ShardEntry& e = entry(a.call);
+        ShardEntry& e = entry(c);
         e.requests.fetch_add(1, std::memory_order_relaxed);
         e.ok.fetch_add(1, std::memory_order_relaxed);
         e.health.RecordOutcome(true);
         e.latency.Record(
-            std::chrono::duration<double>(Clock::now() - a.t0).count());
-        PutConn(e, std::move(a.conn));
-        (*out)[round[a.call]] = std::move(reply);
-        calls[a.call].live = 0;
-        // The loser's reply is still due and would desync a pooled
-        // connection: close it instead.
-        for (Attempt& other : live) {
-          if (other.call == a.call) other.conn.reset();
-        }
+            std::chrono::duration<double>(Clock::now() - c.t0).count());
+        PutConn(e, std::move(c.conn));
+        (*out)[c.slot] = std::move(reply);
       }
     }
   }
@@ -415,9 +375,14 @@ util::Status Router::Start() {
   if (config_.shard_paths.empty()) {
     return Status::InvalidArgument("router needs at least one shard socket");
   }
+  if (config_.shard_timeout_ms <= 0) {
+    return Status::InvalidArgument(
+        "shard_timeout_ms must be positive, got " +
+        std::to_string(config_.shard_timeout_ms));
+  }
   shards_.clear();
   for (const std::string& path : config_.shard_paths) {
-    auto e = std::make_unique<ShardEntry>(config_.health);
+    auto e = std::make_unique<ShardEntry>();
     e->path = path;
     e->last_shed = -1;
     e->windows = std::make_unique<telemetry::WindowedStats>(
@@ -861,7 +826,6 @@ RouterCounters Router::counters() const {
   RouterCounters c;
   c.requests = n_requests_.load(std::memory_order_relaxed);
   c.retries = n_retries_.load(std::memory_order_relaxed);
-  c.hedges = n_hedges_.load(std::memory_order_relaxed);
   c.failovers = n_failovers_.load(std::memory_order_relaxed);
   c.degraded_responses = n_degraded_.load(std::memory_order_relaxed);
   c.shed = n_shed_.load(std::memory_order_relaxed);
@@ -896,7 +860,6 @@ std::string Router::StatsJson() {
       .Set("bench", "dgnn_router")
       .Set("requests", c.requests)
       .Set("serve.shard.retries", c.retries)
-      .Set("serve.shard.hedges", c.hedges)
       .Set("serve.shard.failovers", c.failovers)
       .Set("serve.shard.degraded_responses", c.degraded_responses)
       .Set("shed", c.shed)

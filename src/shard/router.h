@@ -27,15 +27,13 @@
 //  - One dispatch routine, on the caller's thread: a single shard call
 //    and a scatter alike send the line on one pooled connection per
 //    shard and wait for every answer in one poll(); the router starts
-//    no thread per request.
+//    no thread per request. A call still unanswered when its round's
+//    budget runs out fails, and its connection, which still owes a
+//    reply, is closed, never pooled.
 //  - Retries: transient transport failures (kInternal: refused / reset /
 //    EOF) retry in rounds with capped backoff while deadline budget
 //    remains; kDeadlineExceeded never retries. Counter
 //    serve.shard.retries.
-//  - Hedging: with hedge_ms > 0, a shard that has neither answered nor
-//    failed after hedge_ms gets a second connection in the same poll
-//    set; the first answer wins and the loser's connection is closed,
-//    never pooled. Counter serve.shard.hedges.
 //  - Partial degradation: item shards that stay unreachable are dropped
 //    from the gather — the response carries degraded:true and
 //    missing_shards naming them. An unreachable USER shard falls back
@@ -82,7 +80,8 @@ struct RouterConfig {
   // serving shard index i (Start() verifies against each probe).
   std::vector<std::string> shard_paths;
   int connect_timeout_ms = 500;
-  // Per-attempt dispatch budget (each retry/hedge gets at most this).
+  // Per-round dispatch budget (each retry round gets at most this);
+  // must be positive.
   int shard_timeout_ms = 1000;
   int probe_timeout_ms = 250;
   int swap_timeout_ms = 10000;
@@ -92,13 +91,9 @@ struct RouterConfig {
   int64_t default_deadline_ms = 0;
   // Extra attempts after the first on transient transport errors.
   int retries = 2;
-  // Send a hedged second attempt to a shard that has neither answered
-  // nor failed after this many ms; 0 disables hedging.
-  int hedge_ms = 0;
   int probe_interval_ms = 100;
   // Fleet-wide in-flight op bound; ops beyond it are shed. 0 = unbounded.
   int max_inflight = 0;
-  HealthConfig health;
 };
 
 // What a worker's probe reports about itself (Start() cross-checks the
@@ -129,6 +124,8 @@ struct RouterShardStatus {
 struct RouterCounters {
   int64_t requests = 0;
   int64_t retries = 0;
+  // Always 0: the router makes one attempt per shard call and no longer
+  // hedges. Kept because perfbench reads it and checks that it is 0.
   int64_t hedges = 0;
   int64_t failovers = 0;
   int64_t degraded_responses = 0;
@@ -212,8 +209,6 @@ class Router {
     int64_t win_requests = 0;
     int64_t win_ok = 0;
     telemetry::Histogram::Counts win_latency;
-
-    explicit ShardEntry(HealthConfig hc) : health(hc) {}
   };
 
   // RAII in-flight op accounting (drain barrier + max_inflight).
@@ -224,11 +219,11 @@ class Router {
   void PutConn(ShardEntry& e, std::unique_ptr<ShardConn> conn);
   // The one dispatch routine, run on the calling thread: sends `line`
   // byte-identically to each shard in `shards` and waits for all of them
-  // in one poll set. A DOWN shard fails fast; each round gives every
-  // attempt min(remaining, shard_timeout_ms), hedges a shard still
-  // pending after hedge_ms, and shards that failed with kInternal go
-  // again next round after a capped backoff. Result i is shard
-  // shards[i]'s response line or its error.
+  // in one poll set. A DOWN shard fails fast; each round gives all its
+  // calls one budget, min(deadline, round start + shard_timeout_ms), and
+  // shards that failed with kInternal go again next round after a
+  // capped backoff. Result i is shard shards[i]'s response line or its
+  // error.
   std::vector<util::StatusOr<std::string>> Dispatch(
       const std::vector<int>& shards, const std::string& line,
       TimePoint deadline);
@@ -279,7 +274,6 @@ class Router {
   std::atomic<int64_t> swap_seq_{0};
   std::atomic<int64_t> n_requests_{0};
   std::atomic<int64_t> n_retries_{0};
-  std::atomic<int64_t> n_hedges_{0};
   std::atomic<int64_t> n_failovers_{0};
   std::atomic<int64_t> n_degraded_{0};
   std::atomic<int64_t> n_shed_{0};

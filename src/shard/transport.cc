@@ -111,12 +111,16 @@ StatusOr<bool> ShardConn::ReadLine(std::string* line) {
   // rdbuf_ survives across calls; with one outstanding request per
   // connection it only ever holds a prefix of the next response.
   for (;;) {
-    const size_t nl = rdbuf_.find('\n');
+    const size_t nl = rdbuf_.find('\n', scanned_);
     if (nl != std::string::npos) {
       line->assign(rdbuf_, 0, nl);
       rdbuf_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    // The next search starts at the bytes this read appends, so a long
+    // line is scanned once, not once per read.
+    scanned_ = rdbuf_.size();
     char buf[4096];
     const ssize_t n = read(fd_, buf, sizeof(buf));
     if (n > 0) {
@@ -225,12 +229,14 @@ void SocketServer::EndConn(uint64_t id) {
 
 void SocketServer::ConnLoop(int fd) {
   std::string buf;
+  size_t scanned = 0;  // bytes of buf already searched for '\n'
   char chunk[4096];
   for (;;) {
-    const size_t nl = buf.find('\n');
+    const size_t nl = buf.find('\n', scanned);
     if (nl != std::string::npos) {
       std::string line = buf.substr(0, nl);
       buf.erase(0, nl + 1);
+      scanned = 0;
       if (line.empty()) continue;
       std::string resp = handler_(line);
       while (!resp.empty() && resp.back() == '\n') resp.pop_back();
@@ -249,6 +255,7 @@ void SocketServer::ConnLoop(int fd) {
       }
       continue;
     }
+    scanned = buf.size();
     const ssize_t n = read(fd, chunk, sizeof(chunk));
     if (n > 0) {
       buf.append(chunk, static_cast<size_t>(n));

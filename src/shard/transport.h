@@ -74,6 +74,7 @@ class ShardConn {
   explicit ShardConn(int fd) : fd_(fd) {}
   int fd_ = -1;
   std::string rdbuf_;
+  size_t scanned_ = 0;  // bytes of rdbuf_ already searched for '\n'
 };
 
 // Worker side: accepts connections and runs `handler` per request line

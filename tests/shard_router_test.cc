@@ -4,10 +4,10 @@
 // single-process engine, the kill-one-shard matrix (degraded:true with
 // correct missing-shard attribution, popularity failover for a down
 // user shard, hard failure only when every shard is gone, probe-driven
-// recovery after restart), retry/hedging behavior under failpoints and
-// a straggling worker, the two-phase coordinated swap (commit everywhere
-// / abort everywhere), out-of-range numbers in shard answers, and the
-// drain barrier.
+// recovery after restart), retries under failpoints, a straggling
+// worker past its shard budget, the two-phase coordinated swap (commit
+// everywhere / abort everywhere), out-of-range numbers in shard answers,
+// and the drain barrier.
 
 #include <atomic>
 #include <chrono>
@@ -198,6 +198,19 @@ TEST_F(ShardRouterTest, StartRefusesSocketsOutOfShardOrder) {
       << s.ToString();
 }
 
+TEST_F(ShardRouterTest, StartRefusesNonPositiveShardTimeout) {
+  // A round budget of <= 0 ms would fail every shard call as timed out.
+  for (const int timeout_ms : {0, -5}) {
+    shard::RouterConfig c = FastConfig();
+    c.shard_timeout_ms = timeout_ms;
+    shard::Router router(std::move(c));
+    const util::Status s = router.Start();
+    EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument) << timeout_ms;
+    EXPECT_NE(s.ToString().find("shard_timeout_ms"), std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST_F(ShardRouterTest, StartRefusesMissingWorker) {
   shard::RouterConfig c = FastConfig();
   c.shard_paths[1] = TestPath("router_nobody_home.sock");
@@ -360,7 +373,7 @@ TEST_F(ShardRouterTest, ProbesTakeDeadShardDownAndRecoverAfterRestart) {
   ExpectBitIdentical(SingleTopK(user, 10), after);
 }
 
-// ----- retries / hedging ----------------------------------------------------
+// ----- retries / shard budget -----------------------------------------------
 
 TEST_F(ShardRouterTest, TransientDispatchErrorIsRetried) {
   StartRouter(FastConfig());
@@ -371,15 +384,6 @@ TEST_F(ShardRouterTest, TransientDispatchErrorIsRetried) {
   EXPECT_TRUE(got.missing_shards.empty());
   ExpectBitIdentical(SingleTopK(user, 10), got);
   EXPECT_GE(router_->counters().retries, 1);
-}
-
-TEST_F(ShardRouterTest, HedgedFleetStillBitIdentical) {
-  shard::RouterConfig c = FastConfig();
-  c.hedge_ms = 1;  // hedge aggressively; results must not change
-  StartRouter(std::move(c));
-  for (int32_t user = 0; user < 10; ++user) {
-    ExpectBitIdentical(SingleTopK(user, 10), router_->TopK(user, 10));
-  }
 }
 
 TEST_F(ShardRouterTest, MaxInflightShedsInsteadOfQueueing) {
@@ -403,40 +407,61 @@ TEST_F(ShardRouterTest, MaxInflightShedsInsteadOfQueueing) {
   EXPECT_EQ(shed, router_->counters().shed);
 }
 
-TEST_F(ShardRouterTest, HedgedOpLeavesNothingRunningBehindIt) {
-  // Worker 0 sleeps 300 ms on its first topk_partial line; the 20 ms
-  // hedge answers on a second connection and the slow one is closed, so
-  // a drain right after the op has nothing to wait for.
+TEST_F(ShardRouterTest, SlowShardPastItsBudgetIsMissingAndNotPooled) {
+  // Worker 0 sleeps 300 ms on its first topk_partial line, far past the
+  // 50 ms shard budget: the op answers without shard 0's slice, and the
+  // connection that still owes the late reply is closed, never pooled.
   std::atomic<bool> slept{false};
+  std::atomic<bool> slow_done{false};
   Worker& w = *workers_[0];
   w.Kill();
   w.server = std::make_unique<shard::SocketServer>();
   ASSERT_TRUE(w.server
                   ->Start(w.socket_path,
                           [&](const std::string& line) {
-                            if (line.find("topk_partial") !=
+                            const bool slow =
+                                line.find("topk_partial") !=
                                     std::string::npos &&
-                                !slept.exchange(true)) {
+                                !slept.exchange(true);
+                            if (slow) {
                               std::this_thread::sleep_for(
                                   std::chrono::milliseconds(300));
                             }
-                            return w.service->HandleLine(line);
+                            std::string resp = w.service->HandleLine(line);
+                            if (slow) slow_done.store(true);
+                            return resp;
                           })
                   .ok());
   shard::RouterConfig c = FastConfig();
-  c.hedge_ms = 20;
+  c.shard_timeout_ms = 50;
   StartRouter(std::move(c));
   const int32_t user = UserOwnedBy(1);
-  ExpectBitIdentical(SingleTopK(user, 10), router_->TopK(user, 10));
+  const Response got = router_->TopK(user, 10);
+  ASSERT_TRUE(got.ok) << got.error;
+  EXPECT_TRUE(got.degraded);
+  EXPECT_EQ(got.missing_shards, std::vector<int32_t>({0}));
   EXPECT_TRUE(slept.load());
-  EXPECT_GE(router_->counters().hedges, 1);
+  // The op left nothing running in the router: the drain (which also
+  // stops the probes) has nothing to wait for.
   const auto t0 = std::chrono::steady_clock::now();
   router_->BeginDrain();
   const std::chrono::duration<double, std::milli> drain =
       std::chrono::steady_clock::now() - t0;
   EXPECT_LT(drain.count(), 100.0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!slow_done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(slow_done.load());
+  // A pooled connection would hand the next call on shard 0 the late
+  // reply to an earlier line, so the second user would get the first
+  // user's slice.
+  for (const int32_t u : {user, UserOwnedBy(2)}) {
+    ExpectBitIdentical(SingleTopK(u, 10), router_->TopK(u, 10));
+  }
   router_.reset();
-  w.Kill();  // waits out the sleeping handler before `slept` goes
+  w.Kill();  // waits out the sleeping handler before the flags go
 }
 
 // ----- two-phase coordinated swap -------------------------------------------
@@ -712,6 +737,47 @@ TEST(SocketServerTest, EndedConnectionsGiveBackTheirFds) {
   ASSERT_TRUE(live.value()->Call(R"({"op":"probe"})", call_deadline()).ok());
   server.Stop();
   EXPECT_FALSE(live.value()->Call(R"({"op":"probe"})", call_deadline()).ok());
+}
+
+// Best of two round trips of a `bytes`-long line through the echo
+// server at `path`, in ms.
+double EchoRoundTripMs(const std::string& path, size_t bytes) {
+  const std::string line(bytes, 'x');
+  double best = 0.0;
+  for (int rep = 0; rep < 2; ++rep) {
+    auto conn = shard::ShardConn::Connect(path, 1000);
+    if (!conn.ok()) {
+      ADD_FAILURE() << conn.status().ToString();
+      return 0.0;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    auto reply = conn.value()->Call(line, t0 + std::chrono::seconds(60));
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    if (!reply.ok() || reply.value() != line) {
+      ADD_FAILURE() << "no echo of a " << bytes << "-byte line";
+      return 0.0;
+    }
+    if (rep == 0 || took.count() < best) best = took.count();
+  }
+  return best;
+}
+
+TEST(SocketServerTest, LongLineRoundTripTakesLinearTime) {
+  // The worker's and the router's line readers each find the end of a
+  // line in time linear in its length. Both sizes run in this process,
+  // so the bound holds under the sanitizers too: 16x the bytes may take
+  // at most 64x the time, where a rescan of the buffer after every read
+  // takes 200x and more.
+  const std::string path = TestPath("long_line.sock");
+  shard::SocketServer server;
+  ASSERT_TRUE(
+      server.Start(path, [](const std::string& line) { return line; }).ok());
+  const double small_ms = EchoRoundTripMs(path, size_t{1} << 20);
+  const double large_ms = EchoRoundTripMs(path, size_t{16} << 20);
+  EXPECT_LT(large_ms, 64.0 * small_ms)
+      << "1 MiB: " << small_ms << " ms, 16 MiB: " << large_ms << " ms";
+  server.Stop();
 }
 
 // ----- stats ----------------------------------------------------------------
