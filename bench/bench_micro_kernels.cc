@@ -1,6 +1,7 @@
 // Microbenchmarks of the kernels behind Section IV-D's complexity claims:
 // SpMM propagation (O(|E| d)), dense transforms (O(|V| d^2)), the memory
-// encoder (O(|V| |M| d^2 + |M| |E| d)) and segment softmax (O(|E|)), plus
+// encoder (O(|E| d + |V| |M| d) with diagonal transforms,
+// O(|E| d + |V| |M| d^2) with dense ones) and segment softmax (O(|E|)), plus
 // direct GEMM/SpMM kernel sweeps over transpose combination and feature
 // width. All kernels dispatch to the active ISA variant (shown in the
 // kernel sweeps' label); force a level with the DGNN_SIMD env var to
@@ -59,8 +60,16 @@ void BM_DenseTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseTransform)->Arg(8)->Arg(16)->Arg(32);
 
-// Full memory-encoder propagation (forward only), sweeping |M| to expose
-// the O(|M|) scaling of Eq. 3.
+// Transform kind of the encoder cases' second argument: 0 diagonal (the
+// default), 1 dense.
+dgnn::core::DgnnConfig::TransformKind KindArg(int64_t arg) {
+  return arg != 0 ? dgnn::core::DgnnConfig::TransformKind::kDense
+                  : dgnn::core::DgnnConfig::TransformKind::kDiagonal;
+}
+
+// Full memory-encoder propagation (forward only), sweeping |M| and the
+// transform kind. The one SpMM per call does not grow with |M|; only the
+// O(|V| |M| d) gate mix (O(|V| |M| d^2) dense) does.
 void BM_MemoryEncoderPropagate(benchmark::State& state) {
   const int num_units = static_cast<int>(state.range(0));
   const int64_t d = 16;
@@ -69,7 +78,8 @@ void BM_MemoryEncoderPropagate(benchmark::State& state) {
   ParamStore store;
   dgnn::core::MemoryEncoder enc("enc", d, num_units,
                                 dgnn::core::MemoryGateSide::kTarget, 0.2f,
-                                &store, &rng);
+                                &store, &rng, /*gated=*/true,
+                                KindArg(state.range(1)));
   Tensor h_item = Tensor::GaussianInit(f.graph.num_items(), d, 0.1f, rng);
   Tensor h_user = Tensor::GaussianInit(f.graph.num_users(), d, 0.1f, rng);
   for (auto _ : state) {
@@ -79,7 +89,8 @@ void BM_MemoryEncoderPropagate(benchmark::State& state) {
     benchmark::DoNotOptimize(tape.val(out).data());
   }
 }
-BENCHMARK(BM_MemoryEncoderPropagate)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_MemoryEncoderPropagate)
+    ->ArgsProduct({{2, 4, 8, 16}, {0, 1}});
 
 // Memory-encoder forward+backward — the per-batch training cost driver.
 void BM_MemoryEncoderTrainStep(benchmark::State& state) {
@@ -90,7 +101,8 @@ void BM_MemoryEncoderTrainStep(benchmark::State& state) {
   ParamStore store;
   dgnn::core::MemoryEncoder enc("enc", d, num_units,
                                 dgnn::core::MemoryGateSide::kTarget, 0.2f,
-                                &store, &rng);
+                                &store, &rng, /*gated=*/true,
+                                KindArg(state.range(1)));
   auto* h_item =
       store.Create("h_item", Tensor::GaussianInit(f.graph.num_items(), d,
                                                   0.1f, rng));
@@ -105,7 +117,7 @@ void BM_MemoryEncoderTrainStep(benchmark::State& state) {
     store.ZeroGrad();
   }
 }
-BENCHMARK(BM_MemoryEncoderTrainStep)->Arg(2)->Arg(8);
+BENCHMARK(BM_MemoryEncoderTrainStep)->ArgsProduct({{2, 8, 16}, {0, 1}});
 
 // Raw dispatched GEMM, every transpose combination. Shapes mirror the
 // library's real call sites: tall-skinny activations (nodes x d) against

@@ -394,7 +394,8 @@ int main(int argc, char** argv) {
 
   util::Table table({"target_qps", "requests", "achieved_qps", "p50_ms",
                      "p95_ms", "p99_ms", "shed", "expired", "late",
-                     "rss_mb", "snap_mb", "recall"});
+                     "late_p50_ms", "late_p99_ms", "rss_mb", "snap_mb",
+                     "recall"});
   std::vector<util::JsonObject> points;
   std::vector<std::string> stage_lines;
   for (double target : qps_sweep) {
@@ -438,6 +439,8 @@ int main(int argc, char** argv) {
                   bench::Fmt4(r.p99_ms), std::to_string(r.shed),
                   std::to_string(r.expired),
                   std::to_string(r.late_dispatches),
+                  bench::Fmt4(r.lateness_ms_p50),
+                  bench::Fmt4(r.lateness_ms_p99),
                   util::StrFormat("%.1f", r.peak_rss_bytes / 1e6),
                   util::StrFormat("%.1f", snapshot_bytes / 1e6),
                   recall_at_k >= 0.0

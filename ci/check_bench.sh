@@ -7,9 +7,12 @@
 #   2. dgnn_inspect bench validates the JSON: schema version, required
 #      per-point fields, quantile ordering p50 <= p95 <= p99, and the
 #      outcome-accounting identity ok + shed + expired + failed ==
-#      requests. Exit 0 is the only acceptable answer.
+#      requests. Exit 0 is the only acceptable answer. The same point
+#      without its dispatch-lateness quantiles (the older point shape)
+#      must validate too.
 #   3. A deliberately malformed file must be REJECTED (exit 2) — the
-#      validator is only a gate if it can actually fail.
+#      validator is only a gate if it can actually fail. So must a point
+#      whose lateness p50 exceeds its p99.
 #   4. Every committed trajectory point under bench/trajectory/ must
 #      still validate, so the published perf trajectory can never rot.
 #   5. The fresh JSON is archived under <build-dir>/bench_archive/ with
@@ -65,6 +68,31 @@ rc=0
 "$INSPECT" bench "$WORK_DIR/BENCH_bad.json" > /dev/null 2>&1 || rc=$?
 if [[ "$rc" -ne 2 ]]; then
   echo "check_bench: malformed bench JSON: expected exit 2, got $rc" >&2
+  exit 1
+fi
+
+# A point written before the dispatch-lateness quantiles existed still
+# validates; one whose lateness p50 exceeds its p99 does not.
+python3 - "$WORK_DIR/BENCH_serve.json" "$WORK_DIR" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+point = doc["points"][0]
+assert "lateness_ms_p50" in point and "lateness_ms_p99" in point, point
+old = json.loads(json.dumps(doc))
+for key in ("lateness_ms_p50", "lateness_ms_p99"):
+    del old["points"][0][key]
+json.dump(old, open(sys.argv[2] + "/BENCH_old.json", "w"))
+point["lateness_ms_p50"] = point["lateness_ms_p99"] + 1.0
+json.dump(doc, open(sys.argv[2] + "/BENCH_late.json", "w"))
+EOF
+"$INSPECT" bench "$WORK_DIR/BENCH_old.json" > /dev/null || {
+  echo "check_bench: point without lateness quantiles failed validation" >&2
+  exit 1
+}
+rc=0
+"$INSPECT" bench "$WORK_DIR/BENCH_late.json" > /dev/null 2>&1 || rc=$?
+if [[ "$rc" -ne 2 ]]; then
+  echo "check_bench: lateness p50 > p99: expected exit 2, got $rc" >&2
   exit 1
 fi
 

@@ -482,9 +482,10 @@ int Diff(const std::string& base_path, const std::string& cand_path,
 // bench: validate a BENCH_serve.json emitted by bench_serve_load
 // --bench-json (schema_version 1 or 2). Parsed with the real JSON
 // parser — no substring checks — and verified structurally: required
-// fields, quantile ordering p50 <= p95 <= p99, and outcome-count
-// consistency (ok + shed + expired + failed == requests, degraded a
-// subset of ok). ci/check_bench.sh gates on exit code 0 vs 2.
+// fields, quantile ordering p50 <= p95 <= p99 (and lateness p50 <= p99
+// where a point reports it), and outcome-count consistency (ok + shed +
+// expired + failed == requests, degraded a subset of ok).
+// ci/check_bench.sh gates on exit code 0 vs 2.
 // ---------------------------------------------------------------------
 
 bool BenchFail(const std::string& path, const std::string& what) {
@@ -546,6 +547,26 @@ bool ValidateBenchPoint(const std::string& path, const JsonValue& point,
   }
   if (degraded > ok) {
     return BenchFail(path, "degraded exceeds ok");
+  }
+  // Dispatch-lateness quantiles; points written before they were
+  // reported carry neither.
+  const bool has_lateness_p50 = point.Find("lateness_ms_p50") != nullptr;
+  if (has_lateness_p50 != (point.Find("lateness_ms_p99") != nullptr)) {
+    return BenchFail(path, "lateness_ms_p50 and lateness_ms_p99 must come "
+                           "together");
+  }
+  if (has_lateness_p50) {
+    double late_p50 = 0, late_p99 = 0;
+    if (!BenchNumber(path, point, "lateness_ms_p50", &late_p50) ||
+        !BenchNumber(path, point, "lateness_ms_p99", &late_p99)) {
+      return false;
+    }
+    if (late_p50 > late_p99) {
+      return BenchFail(path,
+                       StrFormat("lateness quantiles out of order: p50 "
+                                 "%.4f p99 %.4f",
+                                 late_p50, late_p99));
+    }
   }
   if (schema_version >= 2) {
     // v2 open points carry the snapshot footprint; recall_at_k is

@@ -75,6 +75,25 @@ ag::VarId MemoryEncoder::Gates(ag::Tape& tape, ag::VarId h) const {
   return tape.LeakyRelu(proj, leaky_slope_);
 }
 
+ag::VarId MemoryEncoder::Mix(ag::Tape& tape, ag::VarId x,
+                             ag::VarId gates) const {
+  if (transform_kind_ == DgnnConfig::TransformKind::kDense) {
+    std::vector<ag::VarId> terms;
+    terms.reserve(w1_.size());
+    for (size_t m = 0; m < w1_.size(); ++m) {
+      terms.push_back(tape.RowScale(
+          Transform(tape, x, m), tape.Col(gates, static_cast<int64_t>(m))));
+    }
+    return tape.AddN(terms);
+  }
+  // Diagonal W1_m: sum_m diag(eta[:, m]) (x (.) w_m) = x (.) (eta W), where
+  // W stacks the |M| masks as rows.
+  std::vector<ag::VarId> masks;
+  masks.reserve(w1_.size());
+  for (ag::Parameter* w : w1_) masks.push_back(tape.Param(w));
+  return tape.Mul(x, tape.MatMul(gates, tape.ConcatRows(masks)));
+}
+
 ag::VarId MemoryEncoder::Propagate(ag::Tape& tape, ag::VarId h_src,
                                    ag::VarId h_tgt,
                                    const graph::CsrMatrix* adj,
@@ -82,38 +101,23 @@ ag::VarId MemoryEncoder::Propagate(ag::Tape& tape, ag::VarId h_src,
   if (!gated_) {
     return tape.SpMM(adj, adj_t, Transform(tape, h_src, 0));
   }
-  ag::VarId gates =
-      Gates(tape, gate_side_ == MemoryGateSide::kTarget ? h_tgt : h_src);
-  std::vector<ag::VarId> terms;
-  terms.reserve(w1_.size());
-  for (size_t m = 0; m < w1_.size(); ++m) {
-    ag::VarId transformed = Transform(tape, h_src, m);
-    ag::VarId gate_col = tape.Col(gates, static_cast<int64_t>(m));
-    if (gate_side_ == MemoryGateSide::kTarget) {
-      // diag(eta_tgt) * (A * (H_src W1_m))
-      terms.push_back(
-          tape.RowScale(tape.SpMM(adj, adj_t, transformed), gate_col));
-    } else {
-      // A * (diag(eta_src) * (H_src W1_m))
-      terms.push_back(
-          tape.SpMM(adj, adj_t, tape.RowScale(transformed, gate_col)));
-    }
+  if (gate_side_ == MemoryGateSide::kTarget) {
+    // sum_m diag(eta_tgt[:, m]) (A H_src) W1_m. The gates are emitted
+    // first in a statement of their own: h_src and h_tgt are one var on
+    // social edges, and the tape order fixes the order in which their
+    // gradients add up.
+    ag::VarId gates = Gates(tape, h_tgt);
+    return Mix(tape, tape.SpMM(adj, adj_t, h_src), gates);
   }
-  return tape.AddN(terms);
+  // A sum_m diag(eta_src[:, m]) H_src W1_m
+  return tape.SpMM(adj, adj_t, Mix(tape, h_src, Gates(tape, h_src)));
 }
 
 ag::VarId MemoryEncoder::SelfPropagate(ag::Tape& tape, ag::VarId h) const {
   if (!gated_) {
     return Transform(tape, h, 0);
   }
-  ag::VarId gates = Gates(tape, h);
-  std::vector<ag::VarId> terms;
-  terms.reserve(w1_.size());
-  for (size_t m = 0; m < w1_.size(); ++m) {
-    terms.push_back(tape.RowScale(Transform(tape, h, m),
-                                  tape.Col(gates, static_cast<int64_t>(m))));
-  }
-  return tape.AddN(terms);
+  return Mix(tape, h, Gates(tape, h));
 }
 
 }  // namespace dgnn::core

@@ -8,12 +8,15 @@
 // Implementation notes:
 //  * Applying a gated sum of M transforms per *edge* would cost
 //    O(|E| M d^2). Because the gates depend on only one endpoint, the
-//    aggregation over a normalized adjacency A factorizes:
-//      target-gated:  out = sum_m diag(eta[:, m]) (A (H_src W1_m))
-//      source-gated:  out = sum_m A ( diag(eta_src[:, m]) (H_src W1_m) )
-//    which costs O(|V| M d^2 + |M| |E| d) — the complexity Section IV-D
-//    claims. A unit test checks this factorized form against the literal
-//    per-edge Eq. 3.
+//    gated sum factors out of the aggregation over a normalized
+//    adjacency A. With Mix(X, eta) = sum_m diag(eta[:, m]) X W1_m:
+//      target-gated:  out = Mix(A H_src, eta(H_tgt))
+//      source-gated:  out = A Mix(H_src, eta(H_src))
+//    so each call runs one SpMM, not |M|. With diagonal W1_m, Mix is
+//    X (.) (eta W) for the |M| x d stack W of the masks. The layer costs
+//    O(|E| d + |V| |M| d), or O(|E| d + |V| |M| d^2) with dense W1_m;
+//    Section IV-D's O(|M| |E| d) is the cost of one SpMM per unit. A unit
+//    test checks this factorized form against the literal per-edge Eq. 3.
 //  * W1_m is either the paper's dense d x d matrix or (default) a
 //    diagonal per-dimension factor mask — see DgnnConfig::TransformKind
 //    for the tradeoff. Both start at (1/|M|) * I with small noise and are
@@ -66,6 +69,9 @@ class MemoryEncoder {
  private:
   // h_src transformed by unit m's W1.
   ag::VarId Transform(ag::Tape& tape, ag::VarId h_src, size_t m) const;
+  // The gated sum of Eq. 3 over the memory units, one row per node:
+  // sum_m diag(gates[:, m]) (x W1_m).
+  ag::VarId Mix(ag::Tape& tape, ag::VarId x, ag::VarId gates) const;
 
   int64_t dim_;
   int num_units_;

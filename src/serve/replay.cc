@@ -26,6 +26,7 @@ double QuantileMs(const std::vector<double>& sorted_ms, double q) {
 
 struct WorkerTally {
   std::vector<double> latencies_ms;
+  std::vector<double> lateness_ms;
   std::vector<int64_t> trace_ids;
   int64_t ok = 0;
   int64_t degraded = 0;
@@ -89,6 +90,7 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
         const double lateness_ms =
             std::chrono::duration<double, std::milli>(dispatched - scheduled)
                 .count();
+        tally.lateness_ms.push_back(lateness_ms);
         if (lateness_ms > kLateThresholdMs) {
           ++tally.late_dispatches;
           tally.max_lateness_ms =
@@ -122,12 +124,16 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
 
   std::vector<double> all_ms;
   all_ms.reserve(records.size());
+  std::vector<double> all_lateness_ms;
+  all_lateness_ms.reserve(records.size());
   std::vector<int64_t> all_ids;
   all_ids.reserve(records.size());
   Clock::time_point last_completion = epoch;
   for (const WorkerTally& tally : tallies) {
     all_ms.insert(all_ms.end(), tally.latencies_ms.begin(),
                   tally.latencies_ms.end());
+    all_lateness_ms.insert(all_lateness_ms.end(), tally.lateness_ms.begin(),
+                           tally.lateness_ms.end());
     all_ids.insert(all_ids.end(), tally.trace_ids.begin(),
                    tally.trace_ids.end());
     result.ok += tally.ok;
@@ -141,6 +147,7 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
     last_completion = std::max(last_completion, tally.last_completion);
   }
   std::sort(all_ms.begin(), all_ms.end());
+  std::sort(all_lateness_ms.begin(), all_lateness_ms.end());
   std::sort(all_ids.begin(), all_ids.end());
   result.distinct_trace_ids = static_cast<int64_t>(
       std::unique(all_ids.begin(), all_ids.end()) - all_ids.begin());
@@ -164,6 +171,8 @@ ReplayResult ReplayTrace(const ReplayHandler& handler,
   result.p95_ms = QuantileMs(all_ms, 0.95);
   result.p99_ms = QuantileMs(all_ms, 0.99);
   result.max_ms = all_ms.empty() ? 0.0 : all_ms.back();
+  result.lateness_ms_p50 = QuantileMs(all_lateness_ms, 0.50);
+  result.lateness_ms_p99 = QuantileMs(all_lateness_ms, 0.99);
   double sum = 0.0;
   for (double v : all_ms) sum += v;
   result.mean_ms =
@@ -192,6 +201,8 @@ util::JsonObject BenchPoint(double target_qps, const ReplayResult& r,
       .Set("failed", r.failed)
       .Set("late_dispatches", r.late_dispatches)
       .Set("max_lateness_ms", r.max_lateness_ms)
+      .Set("lateness_ms_p50", r.lateness_ms_p50)
+      .Set("lateness_ms_p99", r.lateness_ms_p99)
       .Set("peak_rss_bytes", r.peak_rss_bytes)
       .Set("distinct_trace_ids", r.distinct_trace_ids)
       .Set("snapshot_bytes", snapshot_bytes);

@@ -21,10 +21,13 @@
 //     experience it;
 //   * reports backlog honestly: late_dispatches counts requests a worker
 //     could not send on time (dispatch > 1 ms after schedule) and
-//     max_lateness_ms the worst such lag. High lateness with low
-//     engine-side latency means the replay harness itself saturated —
-//     add workers or lower target_qps; the quantiles remain honest
-//     (lateness is inside them) either way.
+//     max_lateness_ms the worst such lag. A sleep can wake more than
+//     1 ms late on a busy host, so the count mixes scheduler noise with
+//     real backlog; lateness_ms_p50/_p99 over every dispatch tell them
+//     apart (noise keeps the p50 near zero, backlog lifts it). High
+//     lateness with low engine-side latency means the replay harness
+//     itself saturated — add workers or lower target_qps; the quantiles
+//     remain honest (lateness is inside them) either way.
 //
 // Quantiles are EXACT (sorted per-request samples, nearest-rank), not
 // histogram-bucket approximations — trajectory points published to
@@ -77,6 +80,10 @@ struct ReplayResult {
   // Harness backlog accounting (see header comment).
   int64_t late_dispatches = 0;
   double max_lateness_ms = 0.0;
+  // Dispatch minus scheduled arrival over every request, exact
+  // nearest-rank.
+  double lateness_ms_p50 = 0.0;
+  double lateness_ms_p99 = 0.0;
   // Distinct Response::trace_id values observed across all responses
   // (shed included — ids are assigned at admission). Equals `requests`
   // when per-request tracing is sound; a smaller value means ids were

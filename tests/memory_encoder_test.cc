@@ -1,6 +1,7 @@
 // Tests for the paper's core building block (Eq. 3). The key property:
-// the factorized O(|V| |M| d^2 + |M| |E| d) implementation must equal the
-// literal per-edge sum of gated transforms.
+// the factorized implementation, which runs one SpMM per call whatever
+// |M| is, must equal the literal per-edge sum of gated transforms for
+// both transform kinds and both gate sides.
 
 #include "core/memory_encoder.h"
 
@@ -10,6 +11,7 @@
 
 #include "ag/grad_check.h"
 #include "graph/coo.h"
+#include "util/telemetry.h"
 
 namespace dgnn::core {
 namespace {
@@ -18,11 +20,15 @@ constexpr float kSlope = 0.2f;
 
 float LeakyReluF(float x) { return x >= 0.0f ? x : kSlope * x; }
 
+using Kind = DgnnConfig::TransformKind;
+
 struct EncoderFixture {
-  EncoderFixture(int num_units, MemoryGateSide side, bool gated = true)
+  EncoderFixture(int num_units, MemoryGateSide side, Kind kind,
+                 bool gated = true)
       : rng(42),
+        kind(kind),
         encoder("enc", kDim, num_units, side, kSlope, &store, &rng, gated,
-                DgnnConfig::TransformKind::kDense) {
+                kind) {
     graph::CooMatrix coo;
     coo.rows = kTargets;
     coo.cols = kSources;
@@ -45,6 +51,7 @@ struct EncoderFixture {
   static constexpr int64_t kTargets = 4;
 
   dgnn::util::Rng rng;
+  Kind kind;
   ag::ParamStore store;
   MemoryEncoder encoder;
   graph::CsrMatrix adj, adj_t;
@@ -53,7 +60,8 @@ struct EncoderFixture {
 };
 
 // Literal Eq. 3: per edge (s -> t) with weight w, message =
-// w * sum_m eta(gate_node)_m * (h_s W1_m), summed into t.
+// w * sum_m eta(gate_node)_m * (h_s W1_m), summed into t. A diagonal W1_m
+// is stored as its 1 x d diagonal.
 ag::Tensor NaivePropagate(EncoderFixture& s, MemoryGateSide side, int num_units) {
   ag::Tensor out(EncoderFixture::kTargets, EncoderFixture::kDim);
   const ag::Tensor& src = s.h_src->value;
@@ -80,8 +88,12 @@ ag::Tensor NaivePropagate(EncoderFixture& s, MemoryGateSide side, int num_units)
             s.store.Find("enc.w1_" + std::to_string(m))->value;
         for (int64_t c = 0; c < EncoderFixture::kDim; ++c) {
           float transformed = 0.0f;
-          for (int64_t k = 0; k < EncoderFixture::kDim; ++k) {
-            transformed += src.at(src_id, k) * w1.at(k, c);
+          if (s.kind == Kind::kDense) {
+            for (int64_t k = 0; k < EncoderFixture::kDim; ++k) {
+              transformed += src.at(src_id, k) * w1.at(k, c);
+            }
+          } else {
+            transformed = src.at(src_id, c) * w1.at(0, c);
           }
           out.at(t, c) += w * gate * transformed;
         }
@@ -91,8 +103,11 @@ ag::Tensor NaivePropagate(EncoderFixture& s, MemoryGateSide side, int num_units)
   return out;
 }
 
-TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3TargetGate) {
-  EncoderFixture s(3, MemoryGateSide::kTarget);
+// The tests that hold for either transform kind.
+class MemoryEncoderKindTest : public ::testing::TestWithParam<Kind> {};
+
+TEST_P(MemoryEncoderKindTest, FactorizedMatchesLiteralEq3TargetGate) {
+  EncoderFixture s(3, MemoryGateSide::kTarget, GetParam());
   ag::Tape tape;
   ag::VarId out =
       s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
@@ -101,8 +116,8 @@ TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3TargetGate) {
   EXPECT_LT(tape.val(out).MaxAbsDiff(naive), 1e-4f);
 }
 
-TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3SourceGate) {
-  EncoderFixture s(3, MemoryGateSide::kSource);
+TEST_P(MemoryEncoderKindTest, FactorizedMatchesLiteralEq3SourceGate) {
+  EncoderFixture s(3, MemoryGateSide::kSource, GetParam());
   ag::Tape tape;
   ag::VarId out =
       s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
@@ -112,8 +127,9 @@ TEST(MemoryEncoderTest, FactorizedMatchesLiteralEq3SourceGate) {
 }
 
 TEST(MemoryEncoderTest, GateSidesDiffer) {
-  EncoderFixture target(3, MemoryGateSide::kTarget);
-  EncoderFixture source(3, MemoryGateSide::kSource);  // same seed -> same params
+  EncoderFixture target(3, MemoryGateSide::kTarget, Kind::kDense);
+  // Same seed -> same params.
+  EncoderFixture source(3, MemoryGateSide::kSource, Kind::kDense);
   ag::Tape t1, t2;
   ag::VarId o1 = target.encoder.Propagate(
       t1, t1.Param(target.h_src), t1.Param(target.h_tgt), &target.adj,
@@ -125,7 +141,7 @@ TEST(MemoryEncoderTest, GateSidesDiffer) {
 }
 
 TEST(MemoryEncoderTest, IsolatedTargetsGetZeroMessages) {
-  EncoderFixture s(3, MemoryGateSide::kTarget);
+  EncoderFixture s(3, MemoryGateSide::kTarget, Kind::kDense);
   ag::Tape tape;
   ag::VarId out =
       s.encoder.Propagate(tape, tape.Param(s.h_src), tape.Param(s.h_tgt),
@@ -137,7 +153,8 @@ TEST(MemoryEncoderTest, IsolatedTargetsGetZeroMessages) {
 }
 
 TEST(MemoryEncoderTest, UngatedModeIsSingleLinearTransform) {
-  EncoderFixture s(4, MemoryGateSide::kTarget, /*gated=*/false);
+  EncoderFixture s(4, MemoryGateSide::kTarget, Kind::kDense,
+                   /*gated=*/false);
   EXPECT_EQ(s.encoder.num_units(), 1);
   EXPECT_FALSE(s.encoder.gated());
   ag::Tape tape;
@@ -159,8 +176,8 @@ TEST(MemoryEncoderTest, UngatedModeIsSingleLinearTransform) {
   EXPECT_LT(tape.val(out).MaxAbsDiff(expected), 1e-4f);
 }
 
-TEST(MemoryEncoderTest, SelfPropagateUsesOwnEmbedding) {
-  EncoderFixture s(2, MemoryGateSide::kTarget);
+TEST_P(MemoryEncoderKindTest, SelfPropagateUsesOwnEmbedding) {
+  EncoderFixture s(2, MemoryGateSide::kTarget, GetParam());
   ag::Tape tape;
   ag::VarId out = s.encoder.SelfPropagate(tape, tape.Param(s.h_tgt));
   // Equivalent to Propagate over an identity adjacency.
@@ -171,15 +188,15 @@ TEST(MemoryEncoderTest, SelfPropagateUsesOwnEmbedding) {
 }
 
 TEST(MemoryEncoderTest, GatesShapeAndActivation) {
-  EncoderFixture s(4, MemoryGateSide::kTarget);
+  EncoderFixture s(4, MemoryGateSide::kTarget, Kind::kDense);
   ag::Tape tape;
   ag::VarId gates = s.encoder.Gates(tape, tape.Param(s.h_tgt));
   EXPECT_EQ(tape.val(gates).rows(), EncoderFixture::kTargets);
   EXPECT_EQ(tape.val(gates).cols(), 4);
 }
 
-TEST(MemoryEncoderTest, GradientsMatchNumeric) {
-  EncoderFixture s(2, MemoryGateSide::kTarget);
+TEST_P(MemoryEncoderKindTest, GradientsMatchNumeric) {
+  EncoderFixture s(2, MemoryGateSide::kTarget, GetParam());
   std::vector<ag::Parameter*> params;
   for (const auto& p : s.store.params()) params.push_back(p.get());
   auto result = ag::CheckGradients(params, [&](ag::Tape& tape) {
@@ -191,8 +208,8 @@ TEST(MemoryEncoderTest, GradientsMatchNumeric) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-TEST(MemoryEncoderTest, SourceGateGradientsMatchNumeric) {
-  EncoderFixture s(2, MemoryGateSide::kSource);
+TEST_P(MemoryEncoderKindTest, SourceGateGradientsMatchNumeric) {
+  EncoderFixture s(2, MemoryGateSide::kSource, GetParam());
   std::vector<ag::Parameter*> params;
   for (const auto& p : s.store.params()) params.push_back(p.get());
   auto result = ag::CheckGradients(params, [&](ag::Tape& tape) {
@@ -203,6 +220,40 @@ TEST(MemoryEncoderTest, SourceGateGradientsMatchNumeric) {
   });
   EXPECT_TRUE(result.ok) << result.detail;
 }
+
+// The sparse product runs once per Propagate whatever |M| is: the gated sum
+// over the memory units is taken before or after the SpMM, never around
+// it. Forward and backward each visit every edge of A once.
+TEST_P(MemoryEncoderKindTest, OneSpmmPerPropagateWhateverTheUnitCount) {
+  telemetry::Counter* edges =
+      telemetry::GetCounter("graph.spmm_edges_processed");
+  telemetry::SetEnabled(true);
+  for (int num_units : {2, 8}) {
+    for (MemoryGateSide side :
+         {MemoryGateSide::kTarget, MemoryGateSide::kSource}) {
+      EncoderFixture s(num_units, side, GetParam());
+      const int64_t before = edges->value();
+      ag::Tape tape;
+      ag::VarId out = s.encoder.Propagate(tape, tape.Param(s.h_src),
+                                          tape.Param(s.h_tgt), &s.adj,
+                                          &s.adj_t);
+      tape.Backward(tape.MeanAll(tape.Mul(out, out)));
+      EXPECT_EQ(edges->value() - before, 2 * s.adj.nnz())
+          << "|M| = " << num_units << ", "
+          << (side == MemoryGateSide::kTarget ? "target" : "source")
+          << " gate";
+    }
+  }
+  telemetry::SetEnabled(false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, MemoryEncoderKindTest,
+    ::testing::Values(Kind::kDiagonal, Kind::kDense),
+    [](const ::testing::TestParamInfo<Kind>& info) {
+      return info.param == Kind::kDense ? std::string("Dense")
+                                        : std::string("Diagonal");
+    });
 
 }  // namespace
 }  // namespace dgnn::core

@@ -376,6 +376,14 @@ TEST_F(TraceReplayTest, LatencyMeasuredFromScheduledArrival) {
   EXPECT_GE(result.max_ms, 55.0);
   EXPECT_GE(result.p50_ms, 25.0);
   EXPECT_GE(result.late_dispatches, 1);
+  // Lateness quantiles run over every dispatch: the first record left on
+  // time (nearest-rank p50 of two), the second waited for the first.
+  EXPECT_LT(result.lateness_ms_p50, 25.0);
+  EXPECT_GE(result.lateness_ms_p99, 25.0);
+  EXPECT_LE(result.lateness_ms_p99, result.max_lateness_ms);
+  const std::string point = serve::BenchPoint(0.0, result, 0).Build();
+  EXPECT_NE(point.find("\"lateness_ms_p50\":"), std::string::npos);
+  EXPECT_NE(point.find("\"lateness_ms_p99\":"), std::string::npos);
 }
 
 TEST(TraceReplay, SlowAnswerDoesNotMakeLaterRecordsLate) {
