@@ -3,12 +3,14 @@
 // encoder (O(|E| d + |V| |M| d) with diagonal transforms,
 // O(|E| d + |V| |M| d^2) with dense ones) and segment softmax (O(|E|)), plus
 // direct GEMM/SpMM kernel sweeps over transpose combination and feature
-// width. All kernels dispatch to the active ISA variant (shown in the
-// kernel sweeps' label); force a level with the DGNN_SIMD env var to
-// compare — e.g. DGNN_SIMD=off vs DGNN_SIMD=avx2 is the speedup quoted
-// in EXPERIMENTS.md.
+// width, and the serving candidate scans. All kernels dispatch to the
+// active ISA variant (shown in the kernel sweeps' label); force a level
+// with the DGNN_SIMD env var to compare — e.g. DGNN_SIMD=off vs
+// DGNN_SIMD=avx2 is the speedup quoted in EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "ag/tape.h"
 #include "core/memory_encoder.h"
@@ -159,6 +161,47 @@ void BM_SpmmKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.adj.nnz() * d);
 }
 BENCHMARK(BM_SpmmKernel)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+// Dispatched candidate scans at the serving workloads' shapes, d = 16:
+// codec 0 is fp32, 1 is int8; gathered 1 scores an id list, 0 a
+// contiguous row range.
+//   BM_ScoreRows/0/0: 66,667 fp32 rows, one routed shard's topk scan;
+//   BM_ScoreRows/1/1: 12,600 ids out of 200,000 int8 rows, one IVF probe;
+//   BM_ScoreRows/1/0: 100,000 int8 rows, one similar_users scan.
+void BM_ScoreRows(benchmark::State& state) {
+  const bool int8 = state.range(0) != 0;
+  const bool gathered = state.range(1) != 0;
+  const int64_t d = 16;
+  const int64_t rows = !int8 ? 66667 : gathered ? 200000 : 100000;
+  const int64_t n = gathered ? 12600 : rows;
+  dgnn::util::Rng rng(8);
+  Tensor m = Tensor::GaussianInit(rows, d, 0.1f, rng);
+  Tensor u = Tensor::GaussianInit(1, d, 0.1f, rng);
+  std::vector<int8_t> q8(static_cast<size_t>(rows * d));
+  for (int8_t& q : q8) q = static_cast<int8_t>(rng.UniformInt(255) - 127);
+  std::vector<float> scales(static_cast<size_t>(rows));
+  for (float& s : scales) s = rng.UniformFloat(0.001f, 0.01f);
+  std::vector<int32_t> ids;
+  for (int64_t i = 0; gathered && i < n; ++i) {
+    ids.push_back(static_cast<int32_t>(rng.UniformInt(rows)));
+  }
+  const int32_t* id_ptr = gathered ? ids.data() : nullptr;
+  std::vector<float> out(static_cast<size_t>(n));
+  for (auto _ : state) {
+    if (int8) {
+      dgnn::kernels::ScoreRowsQ8(u.data(), q8.data(), scales.data(), d,
+                                 id_ptr, 0, n, out.data());
+    } else {
+      dgnn::kernels::ScoreRows(u.data(), m.data(), d, id_ptr, 0, n,
+                               out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(dgnn::kernels::IsaName(dgnn::kernels::ActiveIsa()));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ScoreRows)->Args({0, 0})->Args({1, 1})->Args({1, 0});
 
 void BM_SegmentSoftmax(benchmark::State& state) {
   Fixture& f = GetFixture();

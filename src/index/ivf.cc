@@ -58,11 +58,13 @@ void IvfIndex::RankLists(const float* u, int nprobe,
     float score;
     int32_t list;
   };
+  std::vector<float> dots(static_cast<size_t>(nlist));
+  kernels::ScoreRows(u, centroids.data(), dim, nullptr, 0, nlist,
+                     dots.data());
   std::vector<ScoredList> scored(static_cast<size_t>(nlist));
   for (int32_t l = 0; l < nlist; ++l) {
     scored[static_cast<size_t>(l)] = {
-        kernels::Dot(u, centroids.data() + l * dim, dim) -
-            half_sq_norms[static_cast<size_t>(l)],
+        dots[static_cast<size_t>(l)] - half_sq_norms[static_cast<size_t>(l)],
         l};
   }
   std::partial_sort(scored.begin(), scored.begin() + probe, scored.end(),

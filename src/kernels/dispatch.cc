@@ -196,4 +196,15 @@ void LeakyReluBackward(float* gx, const float* g, const float* x,
   ActiveTable()->leaky_relu_bwd(gx, g, x, n, slope);
 }
 
+void ScoreRows(const float* u, const float* base, int64_t d,
+               const int32_t* ids, int64_t b, int64_t e, float* out) {
+  ActiveTable()->score_rows(u, base, d, ids, b, e, out);
+}
+
+void ScoreRowsQ8(const float* u, const int8_t* q8, const float* scales,
+                 int64_t d, const int32_t* ids, int64_t b, int64_t e,
+                 float* out) {
+  ActiveTable()->score_rows_q8(u, q8, scales, d, ids, b, e, out);
+}
+
 }  // namespace dgnn::kernels

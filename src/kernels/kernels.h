@@ -1,7 +1,7 @@
 // Kernel-dispatch layer: every dense/sparse hot loop in the library —
 // the tape GEMM behind the disentangled transforms, CSR SpMM message
 // passing, the memory-encoder gate elementwise math, and the serving
-// dot-product scans — funnels through the entry points declared here.
+// candidate scans — funnels through the entry points declared here.
 // At first use the dispatcher picks the best instruction-set variant the
 // CPU supports (AVX2 on x86-64, NEON on aarch64, scalar reference
 // everywhere); the DGNN_SIMD environment variable overrides the choice.
@@ -96,8 +96,10 @@ void LeakyReluForward(float* y, int64_t n, float slope);
 void LeakyReluBackward(float* gx, const float* g, const float* x,
                        int64_t n, float slope);
 
-// sum_i a[i]*b[i], accumulated serially in index order. Not
-// dispatched: the serial chain is the same loop on every ISA.
+// sum_i a[i]*b[i], accumulated serially in index order (acc = 0, then
+// one rounded multiply and one rounded add per i). Not dispatched: this
+// per-row loop is the reference chain. Candidate scans run ScoreRows,
+// whose every lane runs this same chain.
 float Dot(const float* a, const float* b, int64_t n);
 
 // Quantized dots for the serving snapshot's int8 / fp16 embedding
@@ -106,10 +108,22 @@ float Dot(const float* a, const float* b, int64_t n);
 //
 //  * DotQ8 returns sum_i a[i] * float(q[i]) — the caller multiplies by
 //    the row's scale, so the kernel itself is codec-agnostic integer
-//    widening + the usual float accumulation.
+//    widening + the usual float accumulation. ScoreRowsQ8 is its scan.
 //  * DotF16 returns sum_i a[i] * Fp16ToFp32(h[i]).
 float DotQ8(const float* a, const int8_t* q, int64_t n);
 float DotF16(const float* a, const uint16_t* h, int64_t n);
+
+// Candidate scans: out[i] = Dot(u, base + r * d, d) for i in [b, e),
+// where r is ids[i], or i itself when ids is null. Every output is
+// bit-identical to the per-row Dot on every ISA: a SIMD table scores
+// several rows at once, one row's serial chain per lane.
+void ScoreRows(const float* u, const float* base, int64_t d,
+               const int32_t* ids, int64_t b, int64_t e, float* out);
+// The int8 scan: out[i] = scales[r] * DotQ8(u, q8 + r * d, d), with r as
+// in ScoreRows.
+void ScoreRowsQ8(const float* u, const int8_t* q8, const float* scales,
+                 int64_t d, const int32_t* ids, int64_t b, int64_t e,
+                 float* out);
 
 // ---------------------------------------------------------------------------
 // IEEE binary16 conversion (software reference)
@@ -224,6 +238,10 @@ struct KernelTable {
   void (*leaky_relu_fwd)(float*, int64_t, float) = nullptr;
   void (*leaky_relu_bwd)(float*, const float*, const float*, int64_t,
                          float) = nullptr;
+  void (*score_rows)(const float*, const float*, int64_t, const int32_t*,
+                     int64_t, int64_t, float*) = nullptr;
+  void (*score_rows_q8)(const float*, const int8_t*, const float*, int64_t,
+                        const int32_t*, int64_t, int64_t, float*) = nullptr;
 };
 
 // Per-ISA tables. The scalar table is the reference implementation and

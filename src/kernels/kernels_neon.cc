@@ -171,6 +171,9 @@ const KernelTable* NeonKernelTable() {
       /*mul_add_into=*/&MulAddIntoImpl,
       /*leaky_relu_fwd=*/&LeakyReluFwdImpl,
       /*leaky_relu_bwd=*/&LeakyReluBwdImpl,
+      // The scans run the scalar reference: there is no NEON score tile.
+      /*score_rows=*/ScalarKernelTable()->score_rows,
+      /*score_rows_q8=*/ScalarKernelTable()->score_rows_q8,
   };
   return &table;
 }

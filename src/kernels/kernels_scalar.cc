@@ -121,6 +121,23 @@ void LeakyReluBwdImpl(float* gx, const float* g, const float* x, int64_t n,
   }
 }
 
+void ScoreRowsImpl(const float* u, const float* base, int64_t d,
+                   const int32_t* ids, int64_t b, int64_t e, float* out) {
+  for (int64_t i = b; i < e; ++i) {
+    const int64_t r = ids != nullptr ? ids[i] : i;
+    out[i] = Dot(u, base + r * d, d);
+  }
+}
+
+void ScoreRowsQ8Impl(const float* u, const int8_t* q8, const float* scales,
+                     int64_t d, const int32_t* ids, int64_t b, int64_t e,
+                     float* out) {
+  for (int64_t i = b; i < e; ++i) {
+    const int64_t r = ids != nullptr ? ids[i] : i;
+    out[i] = scales[r] * DotQ8(u, q8 + r * d, d);
+  }
+}
+
 }  // namespace
 
 float Dot(const float* a, const float* b, int64_t n) {
@@ -172,6 +189,8 @@ const KernelTable* ScalarKernelTable() {
       /*mul_add_into=*/&MulAddIntoImpl,
       /*leaky_relu_fwd=*/&LeakyReluFwdImpl,
       /*leaky_relu_bwd=*/&LeakyReluBwdImpl,
+      /*score_rows=*/&ScoreRowsImpl,
+      /*score_rows_q8=*/&ScoreRowsQ8Impl,
   };
   return &table;
 }

@@ -13,7 +13,8 @@
 // Quantization and dequantization are pure per-element maps — no
 // cross-element accumulation — so outputs are bit-identical for any
 // thread count and any ISA. Scoring goes through the kernels' serial
-// DotQ8 / DotF16, the same loop on every ISA.
+// DotQ8 / DotF16, the same loop on every ISA; int8 scans run
+// ScoreRowsQ8, whose every lane runs the DotQ8 chain.
 
 #ifndef DGNN_QUANT_QUANT_H_
 #define DGNN_QUANT_QUANT_H_

@@ -11,10 +11,13 @@
 // So every surface's top-K output is bit-identical by construction (the
 // serving acceptance bar), not by coincidence of copies staying in sync.
 //
-// Determinism: every ranker scores candidates with a sequential
-// per-candidate dot product inside a fixed-grain ParallelFor (disjoint
-// output slots), then filters and selects serially — results are
-// bit-identical for any thread count (see src/util/thread_pool.h).
+// Determinism: the per-row loops (kernels::Dot, QuantizedMatrix::Dot)
+// remain the reference; the scans run kernels::ScoreRows and
+// ScoreRowsQ8, whose every lane runs that same serial chain, inside a
+// fixed-grain ParallelFor (disjoint output slots). Filtering and the
+// bounded top-K selection then run serially, so results are
+// bit-identical for any ISA and any thread count (see
+// src/util/thread_pool.h).
 
 #ifndef DGNN_SERVE_RANKING_H_
 #define DGNN_SERVE_RANKING_H_
@@ -41,10 +44,18 @@ struct ScoredItem {
 // so scores are computed identically for any thread count.
 inline constexpr int64_t kScanGrain = 256;
 
-// Deterministic ordering: score descending, ties broken by lower id.
+// Deterministic ordering: score descending, ties broken by lower id. A
+// NaN score orders after every number, and two NaN scores by id, so the
+// order stays strict weak (std::partial_sort and the heap below need
+// that) when a snapshot holds non-finite embeddings. The ==, > and <
+// tests come first, so a sort of finite scores (the popularity sort in
+// ServingEngine::Swap) never reaches the NaN test.
 inline bool ScoreGreater(const ScoredItem& a, const ScoredItem& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.item < b.item;
+  if (a.score == b.score) return a.item < b.item;
+  if (a.score > b.score) return true;
+  if (a.score < b.score) return false;
+  // Unordered: at least one score is NaN.
+  return !std::isnan(a.score) || (std::isnan(b.score) && a.item < b.item);
 }
 
 // Keeps the k best entries of `scored` under ScoreGreater (k clamped to
@@ -56,6 +67,38 @@ inline void SelectTopK(std::vector<ScoredItem>& scored, int k) {
                     scored.begin() + static_cast<int64_t>(keep),
                     scored.end(), ScoreGreater);
   scored.resize(keep);
+}
+
+// The best `k` of the n scored candidates under ScoreGreater, sorted
+// best first: candidate i is (ids ? ids[i] : i, scores[i]), and
+// keep(item) filters it out when false. A bounded heap holds at most k
+// entries with the worst on top, and a candidate is compared with that
+// worst entry before `keep` runs, so the filter only sees candidates that
+// would enter.
+template <typename Keep>
+inline std::vector<ScoredItem> SelectTopKScored(const float* scores,
+                                                const int32_t* ids,
+                                                int64_t n, int64_t k,
+                                                Keep&& keep) {
+  std::vector<ScoredItem> heap;
+  if (k <= 0) return heap;
+  heap.reserve(static_cast<size_t>(std::min(k, n)));
+  for (int64_t i = 0; i < n; ++i) {
+    const ScoredItem c{ids != nullptr ? ids[i] : static_cast<int32_t>(i),
+                       scores[i]};
+    const bool full = static_cast<int64_t>(heap.size()) == k;
+    if (full && !ScoreGreater(c, heap.front())) continue;
+    if (!keep(c.item)) continue;
+    if (full) {
+      std::pop_heap(heap.begin(), heap.end(), ScoreGreater);
+      heap.back() = c;
+    } else {
+      heap.push_back(c);
+    }
+    std::push_heap(heap.begin(), heap.end(), ScoreGreater);
+  }
+  std::sort_heap(heap.begin(), heap.end(), ScoreGreater);
+  return heap;
 }
 
 // Read-only view over an embedding matrix that is EITHER a dense fp32
@@ -80,8 +123,7 @@ class EmbeddingView {
   bool dense() const { return dense_ != nullptr; }
 
   // dot(u, row r) — exact for dense, approximate (codec precision) for
-  // quantized storage. Every surface calls the same serial kernel, so
-  // train-time and serve-time scores stay bit-identical on every ISA.
+  // quantized storage: the per-row reference every scan reproduces.
   float Score(const float* u, int64_t r) const {
     return dense_ != nullptr
                ? kernels::Dot(u, dense_->row(r), dense_->cols())
@@ -89,23 +131,19 @@ class EmbeddingView {
   }
 
   // out[i] = Score(u, row) for i in [b, e), where row is ids[i], or i
-  // itself when ids is null (the full catalog). The storage test runs
-  // once per call, so the per-row loop is a bare kernel call.
+  // itself when ids is null (the full catalog). fp32 and int8 run the
+  // dispatched scans, bit-identical to Score on every ISA; fp16 runs its
+  // per-row DotF16.
   void ScoreRows(const float* u, const int32_t* ids, int64_t b, int64_t e,
                  float* out) const {
-    if (dense_ == nullptr) {
-      for (int64_t i = b; i < e; ++i) {
-        out[i] = quant_->Dot(u, ids != nullptr ? ids[i] : i);
-      }
-      return;
-    }
-    const float* base = dense_->data();
-    const int64_t d = dense_->cols();
-    if (ids == nullptr) {
-      for (int64_t i = b; i < e; ++i) out[i] = kernels::Dot(u, base + i * d, d);
+    if (dense_ != nullptr) {
+      kernels::ScoreRows(u, dense_->data(), dense_->cols(), ids, b, e, out);
+    } else if (quant_->codec == quant::Codec::kInt8) {
+      kernels::ScoreRowsQ8(u, quant_->q8.data(), quant_->scales.data(),
+                           quant_->cols, ids, b, e, out);
     } else {
       for (int64_t i = b; i < e; ++i) {
-        out[i] = kernels::Dot(u, base + ids[i] * d, d);
+        out[i] = quant_->Dot(u, ids != nullptr ? ids[i] : i);
       }
     }
   }
@@ -159,29 +197,17 @@ inline std::vector<ScoredItem> TopKUnseen(
   });
   Clock::time_point t1;
   if (timed) t1 = Clock::now();
-  std::vector<ScoredItem> scored;
-  scored.reserve(static_cast<size_t>(n));
-  if (ids == nullptr) {
-    // Catalog ids ascend, so one merge walk over `seen` drops them.
-    auto next_seen = seen.begin();
-    for (int32_t i = 0; i < n; ++i) {
-      while (next_seen != seen.end() && *next_seen < i) ++next_seen;
-      if (next_seen != seen.end() && *next_seen == i) continue;
-      scored.push_back({i, scores[static_cast<size_t>(i)]});
-    }
-  } else {
-    for (int64_t i = 0; i < n; ++i) {
-      if (std::binary_search(seen.begin(), seen.end(), ids[i])) continue;
-      scored.push_back({ids[i], scores[static_cast<size_t>(i)]});
-    }
-  }
-  if (items.dense()) {
-    SelectTopK(scored, k);
-  } else {
-    SelectTopK(scored, std::max(rerank, k));
+  // Dense scores are exact: keep k. Quantized ones keep the rerank
+  // shortlist.
+  const int64_t keep = items.dense() ? k : std::max(rerank, k);
+  std::vector<ScoredItem> scored =
+      SelectTopKScored(scores.data(), ids, n, keep, [&](int32_t item) {
+        return !std::binary_search(seen.begin(), seen.end(), item);
+      });
+  if (!items.dense()) {
     // Exact rerank: decode each surviving row to fp32 and re-score with
-    // the same dispatched Dot every surface uses. Serial loop —
-    // deterministic for any thread count.
+    // the reference Dot every surface uses. Serial loop — deterministic
+    // for any thread count.
     std::vector<float> row(static_cast<size_t>(items.cols()));
     for (ScoredItem& s : scored) {
       items.DecodeRow(s.item, row.data());
@@ -239,22 +265,15 @@ inline std::vector<ScoredItem> TopKSimilar(const float* u, float u_norm,
                                            int64_t exclude_row, int k) {
   std::vector<float> scores(static_cast<size_t>(users.rows()));
   util::ParallelFor(0, users.rows(), kScanGrain, [&](int64_t b, int64_t e) {
-    // Divides right after each dot: the division then overlaps the next
-    // row's kernel call, where a second pass over the chunk would not.
+    users.ScoreRows(u, nullptr, b, e, scores.data());
     for (int64_t v = b; v < e; ++v) {
       const float denom = u_norm * norms[static_cast<size_t>(v)];
-      scores[static_cast<size_t>(v)] =
-          denom > 1e-12f ? users.Score(u, v) / denom : 0.0f;
+      float& s = scores[static_cast<size_t>(v)];
+      s = denom > 1e-12f ? s / denom : 0.0f;
     }
   });
-  std::vector<ScoredItem> scored;
-  scored.reserve(static_cast<size_t>(users.rows()));
-  for (int32_t v = 0; v < users.rows(); ++v) {
-    if (v == exclude_row) continue;
-    scored.push_back({v, scores[static_cast<size_t>(v)]});
-  }
-  SelectTopK(scored, k);
-  return scored;
+  return SelectTopKScored(scores.data(), nullptr, users.rows(), k,
+                          [&](int32_t v) { return v != exclude_row; });
 }
 
 }  // namespace dgnn::serve

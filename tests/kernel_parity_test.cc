@@ -315,21 +315,106 @@ TEST_F(KernelParityTest, LeakyReluNanAndSignedZeroLanes) {
   }
 }
 
+// The per-row chains that Dot and the candidate scans must reproduce,
+// written out here rather than taken from the library: acc = 0,
+// ascending column, one rounded multiply and one rounded add per column.
+float SerialDot(const float* u, const float* row, int64_t d) {
+  float acc = 0.0f;
+  for (int64_t p = 0; p < d; ++p) acc += u[p] * row[p];
+  return acc;
+}
+
+float SerialDotQ8(const float* u, const int8_t* row, int64_t d) {
+  float acc = 0.0f;
+  for (int64_t p = 0; p < d; ++p) acc += u[p] * static_cast<float>(row[p]);
+  return acc;
+}
+
 // Dot is the serial index-order sum whatever ISA is forced.
 TEST_F(KernelParityTest, DotBitIdenticalToSerialSum) {
   const int64_t kSizes[] = {1, 7, 8, 31, 64, 333};
   for (int64_t n : kSizes) {
     const auto a = RandomVec(n, 12);
     const auto b = RandomVec(n, 13);
-    float ref = 0.0f;
-    for (int64_t i = 0; i < n; ++i) {
-      ref += a[static_cast<size_t>(i)] * b[static_cast<size_t>(i)];
-    }
+    const float ref = SerialDot(a.data(), b.data(), n);
     for (kernels::Isa isa : kernels::AvailableIsas()) {
       kernels::ForceIsa(isa);
       const float got = kernels::Dot(a.data(), b.data(), n);
       EXPECT_EQ(0, std::memcmp(&ref, &got, sizeof(float)))
           << kernels::IsaName(isa) << " n=" << n;
+    }
+  }
+}
+
+// ScoreRows / ScoreRowsQ8 at every ISA against the per-row chains above,
+// memcmp on the output buffer: widths below, at and above the 8-lane
+// tile, contiguous rows and a shuffled id list with repeats, ranges
+// whose start and length are not multiples of 8, and rows holding NaN or
+// +-Inf (each chain meets one NaN source at most, so the payload is
+// fixed) plus int8 rows scaled by 0, NaN and Inf. Every matrix is
+// allocated at its exact size, so ASan flags a read past the last row.
+TEST_F(KernelParityTest, ScoreRowsBitIdenticalToSerialDot) {
+  const int64_t kDims[] = {1, 7, 8, 15, 16, 17, 24, 64};
+  const int64_t kRows = 45;
+  struct Range {
+    int64_t b, e;
+  };
+  const float kInf = std::numeric_limits<float>::infinity();
+  util::Rng rng(21);
+  std::vector<int32_t> ids(53);
+  for (int32_t& id : ids) {
+    id = static_cast<int32_t>(rng.UniformInt(kRows));
+  }
+  ids[5] = ids[6] = static_cast<int32_t>(kRows - 1);  // repeat the last row
+  ids[20] = 0;
+  for (int64_t d : kDims) {
+    const auto u = RandomVec(d, 22);
+    auto rows = RandomVec(kRows * d, 23);
+    rows[static_cast<size_t>(2 * d)] = std::nanf("");
+    rows[static_cast<size_t>(9 * d + d - 1)] = kInf;
+    rows[static_cast<size_t>(17 * d + d / 2)] = -kInf;
+    rows[static_cast<size_t>(30 * d)] = kInf;  // +Inf then -Inf: NaN
+    rows[static_cast<size_t>(30 * d + d - 1)] = -kInf;
+    std::vector<int8_t> q8(static_cast<size_t>(kRows * d));
+    for (int8_t& q : q8) q = static_cast<int8_t>(rng.UniformInt(255) - 127);
+    std::vector<float> scales(static_cast<size_t>(kRows));
+    for (float& sc : scales) sc = rng.UniformFloat(0.001f, 0.02f);
+    scales[4] = 0.0f;
+    scales[11] = std::nanf("");
+    scales[kRows - 1] = kInf;
+    for (bool gathered : {false, true}) {
+      const int32_t* id_ptr = gathered ? ids.data() : nullptr;
+      const int64_t n = gathered ? static_cast<int64_t>(ids.size()) : kRows;
+      const Range kRanges[] = {{0, n}, {3, 32}, {13, n - 1}, {7, 7}};
+      for (const Range& rg : kRanges) {
+        std::vector<float> want(static_cast<size_t>(n), -7.0f);
+        std::vector<float> want_q8 = want;
+        for (int64_t i = rg.b; i < rg.e; ++i) {
+          const int64_t r = gathered ? ids[static_cast<size_t>(i)] : i;
+          want[static_cast<size_t>(i)] =
+              SerialDot(u.data(), rows.data() + r * d, d);
+          want_q8[static_cast<size_t>(i)] =
+              scales[static_cast<size_t>(r)] *
+              SerialDotQ8(u.data(), q8.data() + r * d, d);
+        }
+        for (kernels::Isa isa : kernels::AvailableIsas()) {
+          kernels::ForceIsa(isa);
+          std::vector<float> got(static_cast<size_t>(n), -7.0f);
+          kernels::ScoreRows(u.data(), rows.data(), d, id_ptr, rg.b, rg.e,
+                             got.data());
+          EXPECT_TRUE(BitIdentical(want, got))
+              << "fp32 " << kernels::IsaName(isa) << " d=" << d
+              << " gathered=" << gathered << " [" << rg.b << ", " << rg.e
+              << ")";
+          std::vector<float> got_q8(static_cast<size_t>(n), -7.0f);
+          kernels::ScoreRowsQ8(u.data(), q8.data(), scales.data(), d, id_ptr,
+                               rg.b, rg.e, got_q8.data());
+          EXPECT_TRUE(BitIdentical(want_q8, got_q8))
+              << "int8 " << kernels::IsaName(isa) << " d=" << d
+              << " gathered=" << gathered << " [" << rg.b << ", " << rg.e
+              << ")";
+        }
+      }
     }
   }
 }

@@ -1,13 +1,17 @@
-// Tests for the online ServingEngine: ranking tie-breaks, bit-identical
+// Tests for the online ServingEngine: the rankers against a literal
+// reference (ties, k bounds, seen filters, NaN scores), bit-identical
 // parity with the direct train::Recommender across thread counts and
 // concurrent callers, graceful degradation for unknown users, social
 // recalibration across a swap, telemetry counters, the in-flight bound
 // and the one-request-per-caller rule, and zero-downtime hot swap under
 // concurrent readers (the TSan job runs this suite too).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -16,12 +20,15 @@
 
 #include "data/synthetic.h"
 #include "graph/hetero_graph.h"
+#include "kernels/kernels.h"
 #include "models/bpr_mf.h"
+#include "quant/quant.h"
 #include "serve/engine.h"
 #include "serve/ranking.h"
 #include "serve/snapshot.h"
 #include "train/recommender.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
@@ -55,6 +62,306 @@ TEST(RankingTest, ScoreGreaterIsStrictWeakOrder) {
   EXPECT_TRUE(serve::ScoreGreater(a, b));
   EXPECT_FALSE(serve::ScoreGreater(b, a));
   EXPECT_FALSE(serve::ScoreGreater(a, a));
+  // NaN orders after every number, and two NaNs by id.
+  const float nan = std::nanf("");
+  const float inf = std::numeric_limits<float>::infinity();
+  const ScoredItem n1{1, nan};
+  const ScoredItem n2{2, nan};
+  const ScoredItem low{9, -inf};
+  EXPECT_TRUE(serve::ScoreGreater(low, n1));
+  EXPECT_FALSE(serve::ScoreGreater(n1, low));
+  EXPECT_TRUE(serve::ScoreGreater(n1, n2));
+  EXPECT_FALSE(serve::ScoreGreater(n2, n1));
+  EXPECT_FALSE(serve::ScoreGreater(n1, n1));
+  // Irreflexive, asymmetric and transitive over every triple, with
+  // transitive incomparability — what std::partial_sort and the heap
+  // selector need.
+  const std::vector<ScoredItem> all = {
+      {3, nan}, {1, nan}, {4, inf}, {2, -inf}, {5, 0.0f}, {6, -0.0f},
+      {7, 1.0f}, {0, 1.0f}, {8, -2.5f}};
+  auto gt = [](const ScoredItem& x, const ScoredItem& y) {
+    return serve::ScoreGreater(x, y);
+  };
+  auto eq = [&](const ScoredItem& x, const ScoredItem& y) {
+    return !gt(x, y) && !gt(y, x);
+  };
+  for (const ScoredItem& x : all) {
+    EXPECT_FALSE(gt(x, x));
+    for (const ScoredItem& y : all) {
+      EXPECT_FALSE(gt(x, y) && gt(y, x));
+      for (const ScoredItem& z : all) {
+        EXPECT_TRUE(!(gt(x, y) && gt(y, z)) || gt(x, z));
+        EXPECT_TRUE(!(eq(x, y) && eq(y, z)) || eq(x, z));
+      }
+    }
+  }
+}
+
+// ----- rankers against a literal reference ----------------------------------
+//
+// The engine-vs-Recommender tests below call the same shared ranker on
+// both sides, so they cannot catch a wrong one. These compare TopKUnseen
+// and TopKSimilar with a reference written here: per-row Dot, the
+// seen/exclude filter, a full std::sort under ScoreGreater, keep k.
+
+std::vector<ScoredItem> SortAndKeep(std::vector<ScoredItem> all, int k) {
+  std::sort(all.begin(), all.end(), serve::ScoreGreater);
+  all.resize(std::min(all.size(), static_cast<size_t>(std::max(k, 0))));
+  return all;
+}
+
+std::vector<ScoredItem> ReferenceTopKUnseen(
+    const float* u, const ag::Tensor* dense, const quant::QuantizedMatrix* q,
+    const std::vector<int32_t>* candidates, const std::vector<int32_t>& seen,
+    int k, int rerank) {
+  const int64_t d = dense != nullptr ? dense->cols() : q->cols;
+  std::vector<int32_t> ids;
+  if (candidates != nullptr) {
+    ids = *candidates;
+  } else {
+    const int64_t rows = dense != nullptr ? dense->rows() : q->rows;
+    for (int32_t r = 0; r < rows; ++r) ids.push_back(r);
+  }
+  std::vector<ScoredItem> all;
+  for (int32_t id : ids) {
+    if (std::find(seen.begin(), seen.end(), id) != seen.end()) continue;
+    all.push_back({id, dense != nullptr ? kernels::Dot(u, dense->row(id), d)
+                                        : q->Dot(u, id)});
+  }
+  if (dense != nullptr) return SortAndKeep(all, k);
+  all = SortAndKeep(all, std::max(rerank, k));
+  std::vector<float> row(static_cast<size_t>(d));
+  for (ScoredItem& s : all) {
+    q->DequantizeRow(s.item, row.data());
+    s.score = kernels::Dot(u, row.data(), d);
+  }
+  return SortAndKeep(all, k);
+}
+
+std::vector<ScoredItem> ReferenceTopKSimilar(const float* u, float u_norm,
+                                             const serve::EmbeddingView& users,
+                                             const std::vector<float>& norms,
+                                             int64_t exclude_row, int k) {
+  std::vector<ScoredItem> all;
+  for (int32_t v = 0; v < users.rows(); ++v) {
+    if (v == exclude_row) continue;
+    const float denom = u_norm * norms[static_cast<size_t>(v)];
+    all.push_back({v, denom > 1e-12f ? users.Score(u, v) / denom : 0.0f});
+  }
+  return SortAndKeep(all, k);
+}
+
+testing::AssertionResult SameRanking(const std::vector<ScoredItem>& want,
+                                     const std::vector<ScoredItem>& got) {
+  if (want.size() != got.size()) {
+    return testing::AssertionFailure()
+           << "size " << got.size() << ", want " << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (want[i].item != got[i].item ||
+        std::memcmp(&want[i].score, &got[i].score, sizeof(float)) != 0) {
+      return testing::AssertionFailure()
+             << "rank " << i << ": got (" << got[i].item << ", "
+             << got[i].score << "), want (" << want[i].item << ", "
+             << want[i].score << ")";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+// Two catalogs of 1000 rows: random rows with one high-scoring row
+// copied to four more ids (an exact tie near the top), and d = 13 rows
+// over {-1, 0, 1} (ties everywhere). Both hold two all-zero rows.
+struct RankingCase {
+  ag::Tensor rows;
+  std::vector<float> u;
+  int tie_k = 0;  // a k whose k-th place falls inside a tie
+};
+
+std::vector<RankingCase> RankingCases() {
+  const int64_t n = 1000;
+  std::vector<RankingCase> cases(2);
+  util::Rng rng(31);
+  for (int c = 0; c < 2; ++c) {
+    RankingCase& rc = cases[static_cast<size_t>(c)];
+    const int64_t d = c == 0 ? 16 : 13;
+    rc.rows = ag::Tensor(n, d);
+    rc.u.resize(static_cast<size_t>(d));
+    auto draw = [&] {
+      return c == 0 ? rng.UniformFloat(-1.0f, 1.0f)
+                    : static_cast<float>(rng.UniformInt(3) - 1);
+    };
+    for (int64_t i = 0; i < n * d; ++i) rc.rows.data()[i] = draw();
+    for (float& x : rc.u) x = draw();
+    std::fill(rc.rows.row(40), rc.rows.row(41), 0.0f);
+    std::fill(rc.rows.row(700), rc.rows.row(701), 0.0f);
+    if (c == 0) {
+      const int32_t src = ReferenceTopKUnseen(rc.u.data(), &rc.rows, nullptr,
+                                              nullptr, {}, 4, 0)[3]
+                              .item;
+      for (int32_t dst : {17, 300, 511, 999}) {
+        if (dst == src) continue;
+        std::copy(rc.rows.row(src), rc.rows.row(src) + d, rc.rows.row(dst));
+      }
+    }
+    // k = i takes the first of a tied pair (i - 1, i) but not the second.
+    const auto tied = ReferenceTopKUnseen(rc.u.data(), &rc.rows, nullptr,
+                                          nullptr, {}, static_cast<int>(n), 0);
+    for (size_t i = 1; i < tied.size(); ++i) {
+      if (tied[i].score == tied[i - 1].score) {
+        rc.tie_k = static_cast<int>(i);
+        break;
+      }
+    }
+    EXPECT_GT(rc.tie_k, 0);
+  }
+  return cases;
+}
+
+class RankerReferenceTest : public ::testing::Test {
+ protected:
+  RankerReferenceTest() : saved_threads_(util::NumThreads()) {}
+  ~RankerReferenceTest() override { util::SetNumThreads(saved_threads_); }
+  const int saved_threads_;
+};
+
+TEST_F(RankerReferenceTest, TopKUnseenMatchesReference) {
+  for (const RankingCase& rc : RankingCases()) {
+    const int64_t n = rc.rows.rows();
+    const quant::QuantizedMatrix q8 = quant::Quantize(
+        rc.rows.data(), n, rc.rows.cols(), quant::Codec::kInt8);
+    const float* u = rc.u.data();
+    // A shuffled candidate list of 600 distinct ids, and an empty one.
+    std::vector<int32_t> shuffled(static_cast<size_t>(n));
+    for (int32_t i = 0; i < n; ++i) shuffled[static_cast<size_t>(i)] = i;
+    util::Rng rng(32);
+    rng.Shuffle(shuffled);
+    shuffled.resize(600);
+    const std::vector<int32_t> empty;
+    // A seen list that covers the ten best rows, plus a few others.
+    using Ids = std::vector<int32_t>;
+    std::vector<int32_t> seen_best;
+    for (const ScoredItem& s :
+         ReferenceTopKUnseen(u, &rc.rows, nullptr, nullptr, {}, 10, 0)) {
+      seen_best.push_back(s.item);
+    }
+    for (int32_t extra : {0, 5, 333, 998}) seen_best.push_back(extra);
+    std::sort(seen_best.begin(), seen_best.end());
+    seen_best.erase(std::unique(seen_best.begin(), seen_best.end()),
+                    seen_best.end());
+    const std::vector<int32_t> no_seen;
+    const int ks[] = {0, 1, rc.tie_k, static_cast<int>(n),
+                      static_cast<int>(n) + 5};
+    for (const Ids* cand : {static_cast<const Ids*>(nullptr),
+                            static_cast<const Ids*>(&shuffled), &empty}) {
+      for (const Ids* seen : {&no_seen, static_cast<const Ids*>(&seen_best)}) {
+        for (int k : ks) {
+          const auto want_dense =
+              ReferenceTopKUnseen(u, &rc.rows, nullptr, cand, *seen, k, k);
+          for (int rerank : {0, 25}) {
+            const auto want_q8 =
+                ReferenceTopKUnseen(u, nullptr, &q8, cand, *seen, k, rerank);
+            for (int threads : {1, 2, 7}) {
+              util::SetNumThreads(threads);
+              const std::string where =
+                  "d=" + std::to_string(rc.rows.cols()) +
+                  " cand=" + std::to_string(cand ? cand->size() : n) +
+                  " seen=" + std::to_string(seen->size()) +
+                  " k=" + std::to_string(k) +
+                  " rerank=" + std::to_string(rerank) +
+                  " threads=" + std::to_string(threads);
+              EXPECT_TRUE(SameRanking(
+                  want_dense,
+                  serve::TopKUnseen(u, serve::EmbeddingView(&rc.rows), cand,
+                                    *seen, k, rerank)))
+                  << "dense " << where;
+              EXPECT_TRUE(SameRanking(
+                  want_q8, serve::TopKUnseen(u, serve::EmbeddingView(&q8),
+                                             cand, *seen, k, rerank)))
+                  << "int8 " << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(RankerReferenceTest, TopKSimilarMatchesReference) {
+  for (const RankingCase& rc : RankingCases()) {
+    const int64_t n = rc.rows.rows();
+    const quant::QuantizedMatrix q8 = quant::Quantize(
+        rc.rows.data(), n, rc.rows.cols(), quant::Codec::kInt8);
+    const float* u = rc.u.data();
+    const float u_norm =
+        std::sqrt(kernels::Dot(u, u, static_cast<int64_t>(rc.u.size())));
+    for (const serve::EmbeddingView& view :
+         {serve::EmbeddingView(&rc.rows), serve::EmbeddingView(&q8)}) {
+      const std::vector<float> norms = serve::RowNorms(view);
+      for (int64_t exclude : {int64_t{-1}, int64_t{17}}) {
+        for (int k : {0, 1, rc.tie_k, static_cast<int>(n),
+                      static_cast<int>(n) + 5}) {
+          const auto want =
+              ReferenceTopKSimilar(u, u_norm, view, norms, exclude, k);
+          for (int threads : {1, 2, 7}) {
+            util::SetNumThreads(threads);
+            EXPECT_TRUE(SameRanking(
+                want, serve::TopKSimilar(u, u_norm, view, norms, exclude, k)))
+                << (view.dense() ? "dense" : "int8")
+                << " d=" << rc.rows.cols() << " exclude=" << exclude
+                << " k=" << k << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Rows that score NaN (a non-finite embedding from a diverged run) rank
+// after every finite score, by id, and never displace a finite winner.
+TEST_F(RankerReferenceTest, TopKUnseenRanksNanScoresLast) {
+  const int64_t n = 600;
+  const int64_t d = 16;
+  ag::Tensor rows(n, d);
+  util::Rng rng(33);
+  for (int64_t i = 0; i < n * d; ++i) {
+    rows.data()[i] = rng.UniformFloat(-1.0f, 1.0f);
+  }
+  std::vector<float> u(static_cast<size_t>(d));
+  for (float& x : u) x = rng.UniformFloat(-1.0f, 1.0f);
+  const std::vector<int32_t> nan_rows = {0, 3, 257, 258, 511, 599};
+  for (int32_t r : nan_rows) rows.row(r)[r % d] = std::nanf("");
+  std::vector<ScoredItem> finite;
+  for (int32_t r = 0; r < n; ++r) {
+    const float s = kernels::Dot(u.data(), rows.row(r), d);
+    if (!std::isnan(s)) finite.push_back({r, s});
+  }
+  ASSERT_EQ(finite.size(), static_cast<size_t>(n) - nan_rows.size());
+  std::sort(finite.begin(), finite.end(),
+            [](const ScoredItem& a, const ScoredItem& b) {
+              return a.score != b.score ? a.score > b.score
+                                        : a.item < b.item;
+            });
+  for (int threads : {1, 2, 7}) {
+    util::SetNumThreads(threads);
+    for (int k : {1, 10, static_cast<int>(n)}) {
+      const auto got = serve::TopKUnseen(u.data(), serve::EmbeddingView(&rows),
+                                         nullptr, {}, k, k);
+      ASSERT_EQ(got.size(), static_cast<size_t>(k)) << "k=" << k;
+      for (int i = 0; i < k; ++i) {
+        const size_t at = static_cast<size_t>(i);
+        if (at < finite.size()) {
+          EXPECT_EQ(got[at].item, finite[at].item)
+              << "k=" << k << " rank " << i << " threads=" << threads;
+          EXPECT_EQ(got[at].score, finite[at].score);
+        } else {
+          EXPECT_EQ(got[at].item, nan_rows[at - finite.size()])
+              << "k=" << k << " rank " << i << " threads=" << threads;
+          EXPECT_TRUE(std::isnan(got[at].score));
+        }
+      }
+    }
+  }
 }
 
 // ----- engine fixtures ------------------------------------------------------
