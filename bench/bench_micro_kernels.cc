@@ -121,29 +121,44 @@ void BM_MemoryEncoderTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryEncoderTrainStep)->ArgsProduct({{2, 8, 16}, {0, 1}});
 
-// Raw dispatched GEMM, every transpose combination. Shapes mirror the
-// library's real call sites: tall-skinny activations (nodes x d) against
-// square d x d weights.
+// Raw dispatched GEMM, out(m x n) += op(A) @ op(B), with args
+// {ta, tb, m, n, k}:
+//   - 8192 x 32 activations against a square 32 x 32 weight at every
+//     transpose combination (the dense d x d transforms);
+//   - the memory encoder's gate and mix GEMMs at d = 16, |M| = 8 over
+//     10,000 rows, with their backward products: H W2 (n x 16 . 16 x 8)
+//     and eta W (n x 8 . 8 x 16) are nn; g W2^T and g W^T are nt; and
+//     the weight gradients H^T g and eta^T g are tn with 16 or 8 output
+//     rows, one chunk each.
 void BM_GemmKernel(benchmark::State& state) {
   const bool ta = state.range(0) != 0;
   const bool tb = state.range(1) != 0;
-  const int64_t rows = 8192;
-  const int64_t d = 32;
+  const int64_t m = state.range(2);
+  const int64_t n = state.range(3);
+  const int64_t k = state.range(4);
   dgnn::util::Rng rng(6);
-  // op(A): rows x d, op(B): d x d, out: rows x d.
-  Tensor a = ta ? Tensor::GaussianInit(d, rows, 0.1f, rng)
-                : Tensor::GaussianInit(rows, d, 0.1f, rng);
-  Tensor b = Tensor::GaussianInit(d, d, 0.1f, rng);
-  Tensor out(rows, d);
+  Tensor a = ta ? Tensor::GaussianInit(k, m, 0.1f, rng)
+                : Tensor::GaussianInit(m, k, 0.1f, rng);
+  Tensor b = tb ? Tensor::GaussianInit(n, k, 0.1f, rng)
+                : Tensor::GaussianInit(k, n, 0.1f, rng);
+  Tensor out(m, n);
   for (auto _ : state) {
     dgnn::kernels::GemmAcc(a.data(), a.rows(), a.cols(), ta, b.data(),
                            b.rows(), b.cols(), tb, out.data());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetLabel(dgnn::kernels::IsaName(dgnn::kernels::ActiveIsa()));
-  state.SetItemsProcessed(state.iterations() * rows * d * d);
+  state.SetItemsProcessed(state.iterations() * m * n * k);
 }
-BENCHMARK(BM_GemmKernel)->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_GemmKernel)
+    ->ArgsProduct({{0, 1}, {0, 1}, {8192}, {32}, {32}})
+    ->Args({0, 0, 10000, 8, 16})
+    ->Args({0, 0, 10000, 16, 8})
+    ->Args({0, 1, 10000, 16, 8})
+    ->Args({0, 1, 10000, 8, 16})
+    ->Args({1, 0, 16, 8, 10000})
+    ->Args({1, 0, 8, 16, 10000});
 
 // Raw dispatched SpMM (the O(|E| d) propagation) at serving/training
 // feature widths.

@@ -2,7 +2,8 @@
 // pass for DGCF, HGT and DGNN on the three datasets. Shape to check
 // against the paper: HGT is the slowest to train (edge-level multi-head
 // attention); DGNN trains faster than both comparisons thanks to the
-// factorized memory encoder.
+// factorized memory encoder. EXPERIMENTS.md records where the measured
+// shape departs from it.
 //
 // Each (model, dataset) cell is measured once per worker-pool width so the
 // table also reports the parallel speedup over the single-thread run.

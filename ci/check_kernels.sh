@@ -5,29 +5,35 @@
 #   1. `dgnn_inspect kernels` reports the dispatch state; its
 #      "available:" line decides which DGNN_SIMD values to sweep (plus
 #      "off", which must always work).
-#   2. kernel_parity_test runs once per level with DGNN_SIMD forced.
+#   2. Register residency: on an optimized build (RelWithDebInfo, the
+#      default, or Release), no ymm instruction in kernels_avx2.cc.o may
+#      address the stack (%rsp or %rbp). GCC keeps the accumulators of a
+#      rolled tile loop in a stack array, which costs a store and a
+#      reload per vector per step without changing a bit, so only the
+#      disassembly shows it.
+#   3. kernel_parity_test runs once per level with DGNN_SIMD forced.
 #      The suite checks every dispatched kernel against the scalar
 #      reference bit for bit (memcmp), across transpose combos, ragged
 #      shapes and thread counts 1/2/7 — so a green sweep means output
 #      cannot depend on the CPU the binary landed on.
-#   3. Whole models: DGNN, DGCF and HGT train 2 epochs on the tiny
+#   4. Whole models: DGNN, DGCF and HGT train 2 epochs on the tiny
 #      preset at DGNN_SIMD=off and at each available level, and every
 #      saved parameter file must be byte-identical (cmp) to the off one.
-#   4. Serving: the trained DGNN is exported as an fp32 snapshot and as
+#   5. Serving: the trained DGNN is exported as an fp32 snapshot and as
 #      an int8 + IVF one, dgnn_serve answers one fixed request file
 #      (topk, similar_users and score over every user) on each at
 #      DGNN_SIMD=off and at each available level, and every answer file
 #      must be byte-identical (cmp) to the off one — the candidate scans
 #      (ScoreRows, ScoreRowsQ8) keep the per-row reference chain in
 #      every lane.
-#   5. Forcing an unavailable level must FAIL loudly (the dispatcher
+#   6. Forcing an unavailable level must FAIL loudly (the dispatcher
 #      aborts rather than silently falling back): a request for a
 #      specific ISA that cannot be honored is a deployment error.
-#   6. bench_micro_kernels smoke: the GEMM/SpMM kernel sweeps and the
+#   7. bench_micro_kernels smoke: the GEMM/SpMM kernel sweeps and the
 #      candidate scans must run to completion at the forced-off and auto
 #      levels (one iteration each — this checks the measurement
 #      pipeline, not throughput).
-#   7. Every committed trajectory point under bench/trajectory/ must
+#   8. Every committed trajectory point under bench/trajectory/ must
 #      still validate via `dgnn_inspect bench`, so kernel changes can
 #      never rot the published serving trajectory.
 #
@@ -58,6 +64,29 @@ AVAILABLE="$("$INSPECT" kernels | sed -n 's/^available: //p')"
 if [[ -z "$AVAILABLE" ]]; then
   echo "check_kernels: dgnn_inspect kernels reported no available ISAs" >&2
   exit 1
+fi
+
+# ---- register residency of the AVX2 tiles ---------------------------------
+AVX2_OBJ="$BUILD_DIR/src/kernels/CMakeFiles/dgnn_kernels.dir/kernels_avx2.cc.o"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
+  "$BUILD_DIR/CMakeCache.txt")"
+if [[ ! -f "$AVX2_OBJ" ]]; then
+  echo "check_kernels: no kernels_avx2.cc.o in this build; residency skipped"
+elif [[ -n "$BUILD_TYPE" && "$BUILD_TYPE" != "RelWithDebInfo" &&
+        "$BUILD_TYPE" != "Release" ]]; then
+  echo "check_kernels: $BUILD_TYPE build; residency check needs an" \
+       "optimized build, skipped"
+else
+  STACK_YMM="$(objdump -d --no-show-raw-insn -C "$AVX2_OBJ" | awk '
+    /^[0-9a-f]+ <.*>:$/ { fn = $0; next }
+    /%ymm/ && /\(%r[sb]p/ { print fn; print }')"
+  if [[ -n "$STACK_YMM" ]]; then
+    echo "$STACK_YMM" >&2
+    echo "check_kernels: ymm operands address the stack in" \
+         "kernels_avx2.cc.o (listed above)" >&2
+    exit 1
+  fi
+  echo "check_kernels: no ymm operand addresses the stack in kernels_avx2.cc.o"
 fi
 
 # ---- parity sweep: scalar reference vs every available level ---------------

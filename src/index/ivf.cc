@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "kernels/kernels.h"
+#include "serve/ranking.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -54,27 +55,21 @@ void IvfIndex::RankLists(const float* u, int nprobe,
                          std::vector<int32_t>* lists) const {
   const int probe =
       std::max(1, std::min(nprobe, static_cast<int>(nlist)));
-  struct ScoredList {
-    float score;
-    int32_t list;
-  };
   std::vector<float> dots(static_cast<size_t>(nlist));
   kernels::ScoreRows(u, centroids.data(), dim, nullptr, 0, nlist,
                      dots.data());
-  std::vector<ScoredList> scored(static_cast<size_t>(nlist));
+  std::vector<serve::ScoredItem> scored(static_cast<size_t>(nlist));
   for (int32_t l = 0; l < nlist; ++l) {
     scored[static_cast<size_t>(l)] = {
-        dots[static_cast<size_t>(l)] - half_sq_norms[static_cast<size_t>(l)],
-        l};
+        l,
+        dots[static_cast<size_t>(l)] - half_sq_norms[static_cast<size_t>(l)]};
   }
-  std::partial_sort(scored.begin(), scored.begin() + probe, scored.end(),
-                    [](const ScoredList& a, const ScoredList& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.list < b.list;
-                    });
+  // The serving order: a non-finite u can make a list score NaN, which
+  // ranks after every number.
+  serve::SelectTopK(scored, probe);
   lists->clear();
   lists->reserve(static_cast<size_t>(probe));
-  for (int i = 0; i < probe; ++i) lists->push_back(scored[i].list);
+  for (const serve::ScoredItem& s : scored) lists->push_back(s.item);
 }
 
 void IvfIndex::Probe(const float* u, int nprobe,

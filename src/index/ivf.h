@@ -54,7 +54,8 @@ struct IvfIndex {
   int64_t ResidentBytes() const;
 
   // The `nprobe` list ids ranked best-first by dot(u, c) - |c_hat|^2/2
-  // (ties broken by lower list id). nprobe is clamped to [1, nlist].
+  // under serve::ScoreGreater (ties broken by lower list id, a NaN score
+  // last). nprobe is clamped to [1, nlist].
   void RankLists(const float* u, int nprobe,
                  std::vector<int32_t>* lists) const;
   // The candidate shortlist a query scans: the members of RankLists'

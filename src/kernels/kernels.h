@@ -257,7 +257,7 @@ void ScalarGemmRows(const GemmView& g, int64_t rb, int64_t re);
 
 // Packs op(B) of an nt/tt view into k x n rows in a per-thread buffer
 // and returns the equivalent tb = false view (valid until the calling
-// thread's next call). A SIMD table runs it through its tn row tile:
+// thread's next call). A SIMD table runs it through its tn tile:
 // each element keeps the scalar nt/tt chain (acc = 0, ascending p, one
 // final add), so the vectorized inner-product GEMM stays bit-identical.
 GemmView PackTransposedB(const GemmView& g);

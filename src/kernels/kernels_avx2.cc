@@ -7,11 +7,14 @@
 // elements, never across a single element's accumulation chain, and use
 // separately rounded multiply/add. Each lane therefore performs exactly
 // the scalar reference's operation sequence, making results
-// bit-identical to kernels_scalar.cc. The inner-product GEMM paths
-// (nt/tt) first pack op(B) into rows (PackTransposedB) and then run the
-// tn row tile, whose per-element chain is the scalar nt/tt chain. The
-// candidate scans (ScoreRows, ScoreRowsQ8) transpose 8 rows in
-// registers so that each lane runs one row's serial Dot chain.
+// bit-identical to kernels_scalar.cc. The GEMM runs register tiles of
+// several output rows, so that eight accumulator chains advance per
+// step; each chain is still one output element's serial sequence. The
+// inner-product GEMM paths (nt/tt) first pack op(B) into rows
+// (PackTransposedB) and then run the tn tile, whose per-element chain
+// is the scalar nt/tt chain. The candidate scans (ScoreRows,
+// ScoreRowsQ8) transpose 8 rows in registers so that each lane runs one
+// row's serial Dot chain.
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -24,70 +27,119 @@
 namespace dgnn::kernels {
 namespace {
 
-// One output-row tile of the B-rows-streamed GEMM: kVecs accumulator
-// vectors (8 floats each) are carried across the entire p reduction, so
-// the output row is loaded and stored once per tile instead of once per
-// p (the store-to-load chain is what limits the naive form). Per output
-// element the operation sequence is exactly the naive/scalar order —
-// carrying the accumulators does not reorder anything — so the tile
-// stays bit-identical to the scalar reference. The kVecs loops are
-// unrolled because at -O2 GCC keeps a rolled loop's acc[] in a stack
-// array, which costs a store and a reload per vector per p.
-template <bool kDirect, int kVecs>
-inline void GemmRowTile(const GemmView& g, int64_t i, int64_t j0,
-                        float* orow) {
-  __m256 acc[kVecs];
-#pragma GCC unroll 4
-  for (int t = 0; t < kVecs; ++t) {
-    acc[t] = kDirect ? _mm256_loadu_ps(orow + j0 + 8 * t)
-                     : _mm256_setzero_ps();
-  }
-  for (int64_t p = 0; p < g.k; ++p) {
-    const float av = g.ta ? g.a[p * g.lda + i] : g.a[i * g.lda + p];
-    const __m256 av8 = _mm256_set1_ps(av);
-    const float* brow = g.b + p * g.ldb + j0;
+// One register block of the B-rows-streamed GEMM: output rows
+// [i, i + kRows) by columns [j, j + 8 * kVecs), kRows * kVecs <= 8
+// accumulator vectors carried across the whole p reduction. `a` points
+// at A(i, 0), `b` at B(0, j) and `o` at out(i, j). Each p step loads
+// B's kVecs vectors once and broadcasts kRows values of A, so the step's
+// kRows * kVecs adds are independent chains; a one-row tile at n = 8 or
+// 16 has one or two chains and waits the add latency on every p. Per
+// output element the operation sequence is exactly the scalar
+// reference's: kDirect (nn) starts from out, otherwise (tn, packed
+// nt/tt) from 0 with one final add to out; ascending p; separately
+// rounded mul and add. Always inlined, with every loop over rows and
+// vectors unrolled, so acc[][] stays in ymm registers (GCC keeps a
+// rolled loop's array on the stack; ci/check_kernels.sh fails on any
+// ymm operand that addresses the stack).
+template <bool kDirect, bool kTransA, int kRows, int kVecs>
+__attribute__((always_inline)) inline void GemmTile(const float* a,
+                                                    int64_t lda,
+                                                    const float* b,
+                                                    int64_t ldb, int64_t k,
+                                                    float* o, int64_t ldo) {
+  __m256 acc[kRows][kVecs];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
     for (int t = 0; t < kVecs; ++t) {
-      const __m256 bv = _mm256_loadu_ps(brow + 8 * t);
-      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(av8, bv));
+      acc[r][t] = kDirect ? _mm256_loadu_ps(o + r * ldo + 8 * t)
+                          : _mm256_setzero_ps();
     }
   }
+  // A(i + r, p) is a[r * lda + p] (nn) or a[p * lda + r] (ta).
+  const int64_t a_step = kTransA ? lda : 1;
+  for (int64_t p = 0; p < k; ++p, a += a_step, b += ldb) {
+    __m256 bv[kVecs];
 #pragma GCC unroll 4
-  for (int t = 0; t < kVecs; ++t) {
-    if (kDirect) {
-      _mm256_storeu_ps(orow + j0 + 8 * t, acc[t]);
-    } else {
-      _mm256_storeu_ps(
-          orow + j0 + 8 * t,
-          _mm256_add_ps(_mm256_loadu_ps(orow + j0 + 8 * t), acc[t]));
+    for (int t = 0; t < kVecs; ++t) bv[t] = _mm256_loadu_ps(b + 8 * t);
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(kTransA ? a + r : a + r * lda);
+#pragma GCC unroll 4
+      for (int t = 0; t < kVecs; ++t) {
+        acc[r][t] = _mm256_add_ps(acc[r][t], _mm256_mul_ps(av, bv[t]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+    for (int t = 0; t < kVecs; ++t) {
+      float* dst = o + r * ldo + 8 * t;
+      _mm256_storeu_ps(dst, kDirect ? acc[r][t]
+                                    : _mm256_add_ps(_mm256_loadu_ps(dst),
+                                                    acc[r][t]));
     }
   }
 }
 
-// B-rows-streamed GEMM. kDirect distinguishes the nn ordering
-// (accumulate straight into out) from the tn ordering (fresh acc, one
-// final add). Output rows are processed in 32-float register tiles.
-template <bool kDirect>
-inline void GemmRowsStreamB(const GemmView& g, int64_t rb, int64_t re) {
+// Output rows [rb, re) by columns [j, j + 8 * kVecs): 8 / kVecs rows per
+// tile, and the last (re - rb) mod (8 / kVecs) rows one at a time. Not
+// inlined: with every strip's outer loops in one function, GCC runs out
+// of general registers for the eight nn row offsets and reloads them
+// from the stack on every p.
+template <bool kDirect, bool kTransA, int kVecs>
+__attribute__((noinline)) void GemmStrip(const GemmView& g, int64_t rb,
+                                         int64_t re, int64_t j) {
+  constexpr int kRows = 8 / kVecs;
+  const float* a = g.a;
+  const float* b = g.b + j;
+  const int64_t lda = g.lda;
+  const int64_t ldb = g.ldb;
+  const int64_t k = g.k;
+  const int64_t n = g.n;
+  auto a_row = [&](int64_t i) { return kTransA ? a + i : a + i * lda; };
+  int64_t i = rb;
+  for (; i + kRows <= re; i += kRows) {
+    GemmTile<kDirect, kTransA, kRows, kVecs>(a_row(i), lda, b, ldb, k,
+                                             g.out + i * n + j, n);
+  }
+  for (; i < re; ++i) {
+    GemmTile<kDirect, kTransA, 1, kVecs>(a_row(i), lda, b, ldb, k,
+                                         g.out + i * n + j, n);
+  }
+}
+
+// B-rows-streamed GEMM over output rows [rb, re). kDirect distinguishes
+// the nn ordering (accumulate straight into out) from the tn ordering
+// (fresh acc, one final add). Columns go in 32-, 16- and 8-float strips
+// (2x4, 4x2 and 8x1 tiles), then a scalar tail with the same chains.
+template <bool kDirect, bool kTransA>
+void GemmRowsBlocked(const GemmView& g, int64_t rb, int64_t re) {
+  int64_t j = 0;
+  for (; j + 32 <= g.n; j += 32) {
+    GemmStrip<kDirect, kTransA, 4>(g, rb, re, j);
+  }
+  if (j + 16 <= g.n) {
+    GemmStrip<kDirect, kTransA, 2>(g, rb, re, j);
+    j += 16;
+  }
+  if (j + 8 <= g.n) {
+    GemmStrip<kDirect, kTransA, 1>(g, rb, re, j);
+    j += 8;
+  }
   for (int64_t i = rb; i < re; ++i) {
     float* orow = g.out + i * g.n;
-    int64_t j = 0;
-    for (; j + 32 <= g.n; j += 32) {
-      GemmRowTile<kDirect, 4>(g, i, j, orow);
-    }
-    for (; j + 8 <= g.n; j += 8) {
-      GemmRowTile<kDirect, 1>(g, i, j, orow);
-    }
-    for (; j < g.n; ++j) {
-      float acc = kDirect ? orow[j] : 0.0f;
+    for (int64_t c = j; c < g.n; ++c) {
+      float acc = kDirect ? orow[c] : 0.0f;
       for (int64_t p = 0; p < g.k; ++p) {
-        const float av = g.ta ? g.a[p * g.lda + i] : g.a[i * g.lda + p];
-        acc += av * g.b[p * g.ldb + j];
+        const float av = kTransA ? g.a[p * g.lda + i] : g.a[i * g.lda + p];
+        acc += av * g.b[p * g.ldb + c];
       }
       if (kDirect) {
-        orow[j] = acc;
+        orow[c] = acc;
       } else {
-        orow[j] += acc;
+        orow[c] += acc;
       }
     }
   }
@@ -97,11 +149,16 @@ void GemmRows(const GemmView& g, int64_t rb, int64_t re) {
   if (g.tb) {
     // nt/tt: the tn tile over packed op(B) is the scalar inner-product
     // chain (acc = 0, ascending p, one final add) in every lane.
-    GemmRowsStreamB<false>(PackTransposedB(g), rb, re);
+    const GemmView packed = PackTransposedB(g);
+    if (g.ta) {
+      GemmRowsBlocked<false, true>(packed, rb, re);
+    } else {
+      GemmRowsBlocked<false, false>(packed, rb, re);
+    }
   } else if (g.ta) {
-    GemmRowsStreamB<false>(g, rb, re);
+    GemmRowsBlocked<false, true>(g, rb, re);
   } else {
-    GemmRowsStreamB<true>(g, rb, re);
+    GemmRowsBlocked<true, false>(g, rb, re);
   }
 }
 
@@ -111,7 +168,7 @@ void GemmRows(const GemmView& g, int64_t rb, int64_t re) {
 // per-element accumulation order is still exactly CSR edge order, so
 // the tile is bit-identical to the scalar reference (which also starts
 // each element at 0 and adds edges in order). The kVecs loops are
-// unrolled to keep acc[] in registers, as in GemmRowTile.
+// unrolled to keep acc[] in registers, as in GemmTile.
 template <int kVecs>
 inline void SpmmRowTile(const SpmmView& s, int64_t ib, int64_t ie,
                         int64_t c0, float* yr) {

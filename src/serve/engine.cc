@@ -125,15 +125,8 @@ void ServingEngine::Swap(std::shared_ptr<const Snapshot> snapshot) {
   }
   // Popularity carries GLOBAL item ids; for a shard this ranks only its
   // own slice (the router merges slices into the global ranking).
-  const int32_t item_offset = static_cast<int32_t>(state->item_offset);
-  state->popularity.reserve(snapshot->item_counts.size());
-  for (size_t i = 0; i < snapshot->item_counts.size(); ++i) {
-    state->popularity.push_back(
-        {item_offset + static_cast<int32_t>(i),
-         static_cast<float>(snapshot->item_counts[i])});
-  }
-  std::sort(state->popularity.begin(), state->popularity.end(),
-            ScoreGreater);
+  state->popularity = PopularityOrder(
+      snapshot->item_counts, static_cast<int32_t>(state->item_offset));
   state->snap = std::move(snapshot);
   state->version = swap_count_.fetch_add(1, std::memory_order_relaxed) + 1;
   {

@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "ag/tensor.h"
@@ -48,14 +49,50 @@ inline constexpr int64_t kScanGrain = 256;
 // NaN score orders after every number, and two NaN scores by id, so the
 // order stays strict weak (std::partial_sort and the heap below need
 // that) when a snapshot holds non-finite embeddings. The ==, > and <
-// tests come first, so a sort of finite scores (the popularity sort in
-// ServingEngine::Swap) never reaches the NaN test.
+// tests come first, so a selection over finite scores never reaches the
+// NaN test.
 inline bool ScoreGreater(const ScoredItem& a, const ScoredItem& b) {
   if (a.score == b.score) return a.item < b.item;
   if (a.score > b.score) return true;
   if (a.score < b.score) return false;
   // Unordered: at least one score is NaN.
   return !std::isnan(a.score) || (std::isnan(b.score) && a.item < b.item);
+}
+
+// The popularity ranking: {first_id + i, float(counts[i])} for every i,
+// sorted under ScoreGreater. No float converted from an integer is NaN or
+// -0, and for every other float the key below ascends exactly as the
+// value descends (positive bit patterns order as unsigned integers, so
+// their low 31 bits are flipped; negative ones order in reverse and
+// already sit above every positive key). A stable LSD radix sort on that
+// key, four 8-bit passes over the id-ascending list, therefore keeps
+// ties by lower id: ScoreGreater's order in O(n) time on every Load and
+// swap (ServingEngine::Swap).
+inline std::vector<ScoredItem> PopularityOrder(
+    const std::vector<int64_t>& counts, int32_t first_id) {
+  auto key = [](float score) {
+    uint32_t bits;
+    std::memcpy(&bits, &score, sizeof(bits));
+    return (bits >> 31) != 0 ? bits : bits ^ 0x7fffffffu;
+  };
+  std::vector<ScoredItem> order(counts.size());
+  for (size_t i = 0; i < counts.size(); ++i) {
+    order[i] = {first_id + static_cast<int32_t>(i),
+                static_cast<float>(counts[i])};
+  }
+  std::vector<ScoredItem> next(order.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    size_t start[257] = {};
+    for (const ScoredItem& s : order) {
+      ++start[((key(s.score) >> shift) & 0xffu) + 1];
+    }
+    for (int b = 0; b < 256; ++b) start[b + 1] += start[b];
+    for (const ScoredItem& s : order) {
+      next[start[(key(s.score) >> shift) & 0xffu]++] = s;
+    }
+    order.swap(next);
+  }
+  return order;
 }
 
 // Keeps the k best entries of `scored` under ScoreGreater (k clamped to

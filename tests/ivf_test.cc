@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -220,6 +221,24 @@ TEST_F(IvfTest, RankListsClampsAndOrdersDeterministically) {
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_GE(list_score(all[i - 1]), list_score(all[i]));
   }
+}
+
+TEST_F(IvfTest, RankListsRanksNanScoresLast) {
+  // Centroids (0, 1), (1, 1) and (-1, 1) against u = (+Inf, 1) score
+  // 0 * Inf = NaN, +Inf and -Inf: the NaN list ranks after both.
+  index::IvfIndex idx;
+  idx.nlist = 3;
+  idx.dim = 2;
+  idx.centroids = {0.0f, 1.0f, 1.0f, 1.0f, -1.0f, 1.0f};
+  idx.half_sq_norms = {0.0f, 0.0f, 0.0f};
+  idx.list_offsets = {0, 0, 0, 0};
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> u = {inf, 1.0f};
+  std::vector<int32_t> lists;
+  idx.RankLists(u.data(), 1, &lists);
+  EXPECT_EQ(lists, std::vector<int32_t>({1}));
+  idx.RankLists(u.data(), 3, &lists);
+  EXPECT_EQ(lists, std::vector<int32_t>({1, 2, 0}));
 }
 
 TEST_F(IvfTest, FullProbeWithFullRerankMatchesBruteForce) {

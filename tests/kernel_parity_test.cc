@@ -27,15 +27,22 @@ namespace {
 const int kThreadCounts[] = {1, 2, 7};
 
 // (m, n, k) shapes: minimal, ragged vs the 8-lane vector width, ragged
-// vs the 64-row ParallelFor grain, one multi-chunk shape, and the memory
+// vs the 64-row ParallelFor grain, one multi-chunk shape, the memory
 // gate and transform GEMMs training runs (d = 16, |M| = 8) over more
-// than three chunks.
+// than three chunks, and their weight gradients (8 or 16 output rows
+// reducing over 1000). The AVX2 GEMM runs 8x1, 4x2 and 2x4 register
+// tiles on 8-, 16- and 32-column strips; the last shapes leave rows over
+// after each of them (13 rows at n = 8, 71 at n = 16, 9 at n = 40) and
+// mix strips (n = 24 is a 16- and an 8-column strip, n = 40 a 32- and
+// an 8-column strip).
 struct Shape {
   int64_t m, n, k;
 };
 const Shape kShapes[] = {
-    {1, 1, 1},    {3, 5, 7},     {17, 33, 9},  {64, 8, 32},
-    {65, 66, 67}, {130, 31, 48}, {200, 8, 16}, {200, 16, 8},
+    {1, 1, 1},     {3, 5, 7},      {17, 33, 9},  {64, 8, 32},
+    {65, 66, 67},  {130, 31, 48},  {200, 8, 16}, {200, 16, 8},
+    {16, 8, 1000}, {8, 16, 1000},  {13, 8, 16},  {71, 16, 8},
+    {9, 40, 5},    {37, 24, 11},
 };
 
 class KernelParityTest : public ::testing::Test {

@@ -97,6 +97,39 @@ TEST(RankingTest, ScoreGreaterIsStrictWeakOrder) {
   }
 }
 
+TEST(RankingTest, PopularityOrderMatchesComparisonSort) {
+  // Ties, zeros, counts that convert to the same float (2^24 and
+  // 2^24 + 1; INT64_MAX and INT64_MAX - 1), negative counts, and a longer
+  // list of few distinct values at every byte width, at two id offsets.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> counts = {3,    0,        7,  (1 << 24) + 1,
+                                 3,    kMax,     0,  1 << 24,
+                                 7,    kMax - 1, -1, -(1 << 24) - 1,
+                                 kMin, 1,        0,  -(1 << 24)};
+  util::Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    const int64_t base = int64_t{1} << (8 * rng.UniformInt(5));
+    counts.push_back(base * rng.UniformInt(4) + rng.UniformInt(3));
+  }
+  for (int32_t first_id : {0, 1000}) {
+    std::vector<ScoredItem> want;
+    for (size_t i = 0; i < counts.size(); ++i) {
+      want.push_back({first_id + static_cast<int32_t>(i),
+                      static_cast<float>(counts[i])});
+    }
+    std::sort(want.begin(), want.end(), serve::ScoreGreater);
+    const std::vector<ScoredItem> got =
+        serve::PopularityOrder(counts, first_id);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].item, want[i].item) << "rank " << i;
+      EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+    }
+  }
+  EXPECT_TRUE(serve::PopularityOrder({}, 0).empty());
+}
+
 // ----- rankers against a literal reference ----------------------------------
 //
 // The engine-vs-Recommender tests below call the same shared ranker on
